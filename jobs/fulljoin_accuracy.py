@@ -8,12 +8,9 @@ writes raw rows to ``results/fulljoin_accuracy_raw.csv``.
 from __future__ import annotations
 
 import pathlib
-import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from _common import session  # noqa: E402
-
-from repro.experiments import fulljoin_accuracy  # noqa: E402
+from repro.core.session import session
+from repro.experiments import fulljoin_accuracy
 
 
 def main() -> None:

@@ -8,12 +8,9 @@ the rows of the paper's Table I — and writes the raw estimates to
 from __future__ import annotations
 
 import pathlib
-import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from _common import session  # noqa: E402
-
-from repro.experiments import table1  # noqa: E402
+from repro.core.session import session
+from repro.experiments import table1
 
 
 def main() -> None:

@@ -8,14 +8,11 @@ per sketch, and writes raw rows to ``results/table2_raw.csv``.
 from __future__ import annotations
 
 import pathlib
-import sys
 
 import pandas as pd
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
-from _common import session  # noqa: E402
-
-from repro.experiments import table2  # noqa: E402
+from repro.core.session import session
+from repro.experiments import table2
 
 
 def main() -> None:

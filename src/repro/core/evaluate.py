@@ -21,8 +21,7 @@ import numpy as np
 import pandas as pd
 
 from repro.mi import estimate_mi
-from repro.sketch import build_pair, join_sketches
-from repro.sketch.base import aggregate_cand
+from repro.sketch import SELECTORS, Cand, Train, aggregate_cand, join_sketches
 
 _JITTER_SIGMA = 1e-3
 
@@ -54,8 +53,15 @@ def full_join_pairs_pandas(
     unavailable.
     """
     aug = aggregate_cand(cand["key"].to_numpy(), cand["x"].to_numpy(), agg)
+    return _join_aug(train, aug["key"].to_numpy(), aug["value"].to_numpy())
+
+
+def _join_aug(
+    train: pd.DataFrame, keys: np.ndarray, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-join the train rows to the featurized candidate (one x per key)."""
     merged = train[["key", "y"]].merge(
-        aug.rename(columns={"value": "x"}), on="key", how="inner", sort=False
+        pd.DataFrame({"key": keys, "x": x}), on="key", how="inner", sort=False
     )
     return merged["y"].to_numpy(), merged["x"].to_numpy()
 
@@ -78,8 +84,12 @@ def evaluate_pair(
     rows: list[dict] = []
     full_cache: dict[tuple[str, str], float] = {}
     full_size = 0
+    # Each side is prepared once; every method selects from it, and the
+    # full join reuses the candidate side's AGG.
+    train_side = Train(train["key"].to_numpy(), train["y"].to_numpy())
+    cand_side = Cand(cand["key"].to_numpy(), cand["x"].to_numpy(), agg)
     if compute_full:
-        fy, fx = full_join_pairs_pandas(train, cand, agg)
+        fy, fx = _join_aug(train, cand_side.keys, cand_side.values)
         full_size = len(fy)
         for est, jitter in estimators:
             px, py = _prepare(fx, fy, est, jitter, rng)
@@ -97,13 +107,9 @@ def evaluate_pair(
                     "full_join_size": full_size,
                 }
             )
-    tk = train["key"].to_numpy()
-    tv = train["y"].to_numpy()
-    ck = cand["key"].to_numpy()
-    cv = cand["x"].to_numpy()
     for method in methods:
-        s_train, s_cand = build_pair(method, tk, tv, ck, cv, n, agg=agg)
-        yv, xv = join_sketches(s_train, s_cand)
+        select_train, select_cand = SELECTORS[method]
+        yv, xv = join_sketches(select_train(train_side, n), select_cand(cand_side, n))
         for est, jitter in estimators:
             if len(yv) >= min_sample:
                 px, py = _prepare(xv, yv, est, jitter, rng)

@@ -25,10 +25,8 @@ from pyspark.sql import functions as F
 from pyspark.sql.functions import pandas_udf
 
 from repro import hashing
-from repro.hashing.murmur3 import murmur3_32_u32pair
 from repro.mi import estimate_mi
-from repro.sketch import METHODS, Sketch, join_sketches
-from repro.sketch.indsk import _SALT_CAND, _SALT_TRAIN
+from repro.sketch import METHODS, Sketch, indsk, join_sketches
 
 from . import fulljoin
 
@@ -53,22 +51,12 @@ def _make_udfs() -> dict:
     @pandas_udf("double")
     def tuple_u01_udf(kh: pd.Series, j: pd.Series) -> pd.Series:
         """h_u(h(<k, j>)) from the stored hash and occurrence index."""
-        return pd.Series(
-            hashing.tuple_u01(
-                kh.to_numpy().astype(np.uint32), j.to_numpy().astype(np.uint32)
-            )
-        )
+        return pd.Series(hashing.tuple_u01(kh.to_numpy(), j.to_numpy()))
 
     @pandas_udf("double")
     def salted_u01_udf(x: pd.Series, salt: pd.Series) -> pd.Series:
         """Uncoordinated per-row hash stream for INDSK."""
-        return pd.Series(
-            hashing.u01(
-                murmur3_32_u32pair(
-                    x.to_numpy().astype(np.uint32), salt.to_numpy().astype(np.uint32)
-                )
-            )
-        )
+        return pd.Series(indsk.salted_u01(x.to_numpy(), salt.to_numpy()))
 
     return {
         "hash": hash_udf,
@@ -146,19 +134,12 @@ def spark_train_sketch(
     if method == "tupsk":
         out = prepped.orderBy("u_row", "rid").limit(n)
     elif method in ("lv2sk", "prisk"):
-        n_total = df.count()
-        out = _two_level_train(prepped, n, n_total, by_priority=(method == "prisk"))
+        out = _two_level_train(prepped, n, df.count(), by_priority=(method == "prisk"))
     elif method == "indsk":
-        out = (
-            prepped.withColumn(
-                "u_ind", _udfs()["salted_u01"](F.col("rid"), F.lit(_SALT_TRAIN))
-            )
-            .orderBy("u_ind", "rid")
-            .limit(n)
-        )
-    else:  # csk: first value per key, then KMV over distinct keys
-        firsts = prepped.where(F.col("j") == 1)
-        out = firsts.orderBy("u_key", "rid").limit(n)
+        u = _udfs()["salted_u01"](F.col("rid"), F.lit(indsk.SALT_TRAIN))
+        out = prepped.withColumn("u_ind", u).orderBy("u_ind", "rid").limit(n)
+    else:  # csk: the j = 1 row per key, then KMV over distinct keys
+        out = prepped.where(F.col("j") == 1).orderBy("u_key", "rid").limit(n)
     return _collect_sketch(out)
 
 
@@ -175,33 +156,18 @@ def spark_cand_sketch(
     """Build the candidate-side sketch: featurize, then select n keys."""
     if method not in METHODS:
         raise ValueError(f"unknown sketch method {method!r}")
-    if method == "csk":
-        # CSK ignores AGG by design: first value seen per key.
-        aug = fulljoin.featurize(df, key_col=key_col, val_col=val_col, agg="first", rid_col=rid_col)
-    else:
-        aug = fulljoin.featurize(df, key_col=key_col, val_col=val_col, agg=agg, rid_col=rid_col)
+    agg = "first" if method == "csk" else agg  # CSK ignores AGG: first value seen per key
+    aug = fulljoin.featurize(df, key_col=key_col, val_col=val_col, agg=agg, rid_col=rid_col)
     prepped = aug.select(F.col(key_col).alias("key"), F.col(val_col).alias("val")).withColumn(
         "kh", _udfs()["hash"](F.col("key"))
     )
     if method == "tupsk":
-        out = (
-            prepped.withColumn("u", _udfs()["tuple_u01"](F.col("kh"), F.lit(1)))
-            .orderBy("u", "key")
-            .limit(n)
-        )
+        u = _udfs()["tuple_u01"](F.col("kh"), F.lit(1))
     elif method == "indsk":
-        out = (
-            prepped.withColumn("u", _udfs()["salted_u01"](F.col("kh"), F.lit(_SALT_CAND)))
-            .orderBy("u", "key")
-            .limit(n)
-        )
+        u = _udfs()["salted_u01"](F.col("kh"), F.lit(indsk.SALT_CAND))
     else:  # lv2sk / prisk / csk: KMV over h_u(h(k))
-        out = (
-            prepped.withColumn("u", _udfs()["u01"](F.col("kh")))
-            .orderBy("u", "key")
-            .limit(n)
-        )
-    return _collect_sketch(out)
+        u = _udfs()["u01"](F.col("kh"))
+    return _collect_sketch(prepped.withColumn("u", u).orderBy("u", "key").limit(n))
 
 
 def sketch_mi_estimate(

@@ -5,7 +5,6 @@ Public API:
 * :func:`hash_keys` — ``h``: canonical-encode values and MurmurHash3
   them to ``uint32`` integer keys.
 * :func:`u01` — ``h_u``: Fibonacci-hash integers to uniform [0, 1).
-* :func:`key_u01` — ``h_u(h(k))`` in one call.
 * :func:`tuple_u01` — ``h_u(h(<k, j>))`` for occurrence tuples, the
   TUPSK sampling coordinate.
 """
@@ -25,7 +24,6 @@ __all__ = [
     "fibonacci_u01",
     "hash_keys",
     "u01",
-    "key_u01",
     "tuple_u01",
 ]
 
@@ -42,11 +40,6 @@ def hash_keys(values: np.ndarray, seed: int = 0) -> np.ndarray:
 def u01(hashes: np.ndarray) -> np.ndarray:
     """``h_u``: map integer hashes to uniform [0, 1)."""
     return fibonacci_u01(np.asarray(hashes, dtype=np.uint64))
-
-
-def key_u01(values: np.ndarray, seed: int = 0) -> np.ndarray:
-    """``h_u(h(k))`` — the coordinated key sampling coordinate."""
-    return u01(hash_keys(values, seed=seed))
 
 
 def tuple_u01(key_hashes: np.ndarray, occurrence: np.ndarray, seed: int = 0) -> np.ndarray:

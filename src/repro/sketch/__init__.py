@@ -1,44 +1,28 @@
 """Sampling-based MI sketches (paper Section IV and the §V baselines).
 
-``METHODS`` maps a sketch name to its (train_sketch, cand_sketch)
-builder pair; all builders share the signature
-``train_sketch(keys, values, n)`` and
-``cand_sketch(keys, values, n, agg)``.
+``SELECTORS`` maps a sketch name to its selectors over the prepared
+table sides, ``(select_train(Train, n), select_cand(Cand, n))``;
+``METHODS`` maps it to the builder pair that prepares a side and
+selects from it, ``(train_sketch(keys, values, n),
+cand_sketch(keys, values, n, agg))``.
 """
 from . import csk, indsk, lv2sk, prisk, tupsk
-from .base import AGG_FUNCTIONS, Sketch, aggregate_cand, join_sketches, occurrence_index
+from .base import (
+    AGG_FUNCTIONS, Cand, Sketch, Train, aggregate_cand, join_sketches, occurrence_index,
+)
 
-METHODS = {
-    "tupsk": (tupsk.train_sketch, tupsk.cand_sketch),
-    "lv2sk": (lv2sk.train_sketch, lv2sk.cand_sketch),
-    "prisk": (prisk.train_sketch, prisk.cand_sketch),
-    "indsk": (indsk.train_sketch, indsk.cand_sketch),
-    "csk": (csk.train_sketch, csk.cand_sketch),
-}
+_MODULES = {"tupsk": tupsk, "lv2sk": lv2sk, "prisk": prisk, "indsk": indsk, "csk": csk}
+SELECTORS = {name: (m.select_train, m.select_cand) for name, m in _MODULES.items()}
+METHODS = {name: (m.train_sketch, m.cand_sketch) for name, m in _MODULES.items()}
 
 __all__ = [
-    "AGG_FUNCTIONS",
-    "Sketch",
-    "aggregate_cand",
-    "join_sketches",
-    "occurrence_index",
-    "METHODS",
-    "csk",
-    "indsk",
-    "lv2sk",
-    "prisk",
-    "tupsk",
+    "AGG_FUNCTIONS", "Cand", "Sketch", "Train", "aggregate_cand", "join_sketches",
+    "occurrence_index", "METHODS", "SELECTORS", "csk", "indsk", "lv2sk", "prisk", "tupsk",
 ]
 
 
 def build_pair(
-    method: str,
-    train_keys,
-    train_values,
-    cand_keys,
-    cand_values,
-    n: int,
-    agg: str = "avg",
+    method: str, train_keys, train_values, cand_keys, cand_values, n: int, agg: str = "avg"
 ) -> tuple[Sketch, Sketch]:
     """Build the (S_train, S_cand) sketch pair for one table pair."""
     train_fn, cand_fn = METHODS[method]

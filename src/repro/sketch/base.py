@@ -55,36 +55,100 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
     return (pd.Series(codes).groupby(codes).cumcount() + 1).to_numpy(np.int64)
 
 
+def _mode(keys: np.ndarray, values: np.ndarray) -> pd.DataFrame:
+    """Most frequent value per key; ties go to the value seen first.
+
+    Matches ``groupby(sort=False)`` with ``value_counts`` per group (and
+    the Spark implementation in ``repro.core.fulljoin.featurize``): NULL
+    keys are dropped, NaN values are not counted, and a key whose values
+    are all NaN gets NaN.
+    """
+    key_codes, uniques = pd.factorize(keys)  # NULL keys -> -1
+    val_codes, _ = pd.factorize(values)  # NaN values -> -1
+    rows = np.flatnonzero(key_codes >= 0)
+    kc, vc = key_codes[rows], val_codes[rows]
+    _, inverse, counts = np.unique(
+        kc.astype(np.int64) * (vc.max(initial=-1) + 2) + vc + 1,
+        return_inverse=True,
+        return_counts=True,
+    )
+    count = np.where(vc >= 0, counts[inverse], 0)
+    # Per key: highest count first, then the earliest row.
+    order = np.lexsort((rows, -count, kc))
+    best = order[np.searchsorted(kc[order], np.arange(len(uniques)))]
+    out = values[rows[best]]
+    if out.dtype == object or (count[best] == 0).any():
+        # pandas infers the dtype of per-group Python results, and a key
+        # with no counted value yields None: floats read it as NaN.
+        out = pd.Series(np.where(count[best] > 0, out, None)).infer_objects().to_numpy()
+    return pd.DataFrame({"key": uniques, "value": out})
+
+
 def aggregate_cand(keys: np.ndarray, values: np.ndarray, agg: str) -> pd.DataFrame:
     """Apply the featurization AGG per key: T_cand[K_Z, Z] -> T_aug[K_X, X].
 
-    Returns a DataFrame [key, value] with one row per distinct key, in
-    first-appearance order of the key.
+    Returns a DataFrame [key, value] with one row per distinct non-NULL
+    key, in first-appearance order of the key, for every AGG.
     """
     if agg not in AGG_FUNCTIONS:
         raise ValueError(f"unknown AGG {agg!r}; choose from {AGG_FUNCTIONS}")
-    df = pd.DataFrame({"key": np.asarray(keys), "value": np.asarray(values)})
-    g = df.groupby("key", sort=False)["value"]
-    if agg == "avg":
-        out = g.mean()
-    elif agg == "count":
-        out = g.size()
-    elif agg == "mode":
-        # Most frequent value; ties broken by earliest first appearance
-        # (same contract as the Spark implementation in
-        # repro.core.fulljoin.featurize).
-        def _mode_first_seen(s: pd.Series):
-            counts = s.value_counts()
-            best = counts.max()
-            top = set(counts[counts == best].index)
-            for v in s:
-                if v in top:
-                    return v
-
-        out = g.agg(_mode_first_seen)
-    else:  # first
-        out = g.first()
+    keys, values = np.asarray(keys), np.asarray(values)
+    if agg == "mode":
+        return _mode(keys, values)
+    g = pd.DataFrame({"key": keys, "value": values}).groupby("key", sort=False)["value"]
+    out = g.mean() if agg == "avg" else g.size() if agg == "count" else g.first()
     return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})
+
+
+class Train:
+    """The train (left) table, prepared once. Per row: ``key_hash`` h(k),
+    ``values``, key ``codes`` (first-appearance order) and ``u_row`` =
+    h_u(h(<k, j>)). Per key code: ``counts`` N_k and ``u_key`` = h_u(h(k)).
+    """
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
+        self.keys, self.values = np.asarray(keys), np.asarray(values)
+        self.codes, _ = pd.factorize(self.keys, use_na_sentinel=False)
+        self.counts = np.bincount(self.codes)
+        first_rows = np.unique(self.codes, return_index=True)[1]
+        # Hashing one value per code equals hashing every row: a float
+        # column's integral-or-string encoding is decided over the batch,
+        # and its distinct values decide it as the whole column does.
+        hashes = hashing.hash_keys(self.keys[first_rows])
+        self.key_hash = hashes[self.codes]
+        self.u_row = hashing.tuple_u01(self.key_hash, occurrence_index(self.codes))
+        self.u_key = hashing.u01(hashes)
+
+
+class Cand:
+    """The candidate table, prepared once: ``keys``, ``key_hash`` and AGG
+    ``values`` per distinct non-NULL key, in first-appearance order."""
+
+    def __init__(self, keys: np.ndarray, values: np.ndarray, agg: str) -> None:
+        self.table, self.agg = (keys, values), agg
+        aug = aggregate_cand(keys, values, agg)
+        self.keys = aug["key"].to_numpy()
+        self.key_hash = hashing.hash_keys(self.keys)
+        self.values = aug["value"].to_numpy()
+
+
+def bottom_n(side: Train | Cand, coord: np.ndarray, n: int) -> Sketch:
+    """The n entries of ``side`` with the smallest ``coord``; ties keep the earlier one."""
+    idx = np.argsort(coord, kind="stable")[:n]
+    return Sketch(side.key_hash[idx], side.values[idx])
+
+
+def builders(select_train, select_cand):
+    """A method's ``(train_sketch(keys, values, n), cand_sketch(keys,
+    values, n, agg))``: prepare one table side, then select from it."""
+
+    def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
+        return select_train(Train(keys, values), n)
+
+    def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
+        return select_cand(Cand(keys, values, agg), n)
+
+    return train_sketch, cand_sketch
 
 
 def join_sketches(train: Sketch, cand: Sketch) -> tuple[np.ndarray, np.ndarray]:

@@ -5,29 +5,29 @@ coordinated sampling over *distinct* join keys and keep one value per
 key. They "do not prescribe how to handle repeated join keys"; per the
 paper's baseline setup we keep the **first value seen** for each key on
 both sides — no aggregation function is applied, so repeated-key
-information on either table is simply dropped.
+information on either table is simply dropped. "First" is pandas'
+``first``: the first non-NaN value, not necessarily the j = 1 row.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from repro import hashing
+from .base import Cand, Sketch, Train
+from .lv2sk import select_cand as _kmv
 
-from .base import Sketch, aggregate_cand
+
+def select_train(train: Train, n: int) -> Sketch:
+    return _kmv(Cand(train.keys, train.values, "first"), n)
 
 
-def _first_value_kmv(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    firsts = aggregate_cand(keys, values, "first")
-    kh = hashing.hash_keys(firsts["key"].to_numpy())
-    u = hashing.u01(kh)
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], firsts["value"].to_numpy()[idx])
+def select_cand(cand: Cand, n: int) -> Sketch:
+    """CSK ignores AGG by design: first value seen per key."""
+    return _kmv(cand if cand.agg == "first" else Cand(*cand.table, "first"), n)
 
 
 def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    return _first_value_kmv(np.asarray(keys), np.asarray(values), n)
+    return _kmv(Cand(keys, values, "first"), n)
 
 
 def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    """CSK ignores AGG by design: first value seen per key."""
-    return _first_value_kmv(np.asarray(keys), np.asarray(values), n)
+    return _kmv(Cand(keys, values, "first"), n)

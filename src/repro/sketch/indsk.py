@@ -20,27 +20,27 @@ import numpy as np
 from repro import hashing
 from repro.hashing.murmur3 import murmur3_32_u32pair
 
-from .base import Sketch, aggregate_cand
+from .base import Cand, Sketch, Train, bottom_n, builders
 
-_SALT_TRAIN = 0xA5A5A5A5
-_SALT_CAND = 0x5A5A5A5A
-
-
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    """Uniform n-subset of rows, independent of keys and of the cand side."""
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    rid = np.arange(len(keys), dtype=np.uint32)
-    u = hashing.u01(murmur3_32_u32pair(rid, np.full(len(keys), _SALT_TRAIN, np.uint32)))
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], values[idx])
+#: Salts of the two sides' hash streams, shared with the Spark builders.
+SALT_TRAIN = 0xA5A5A5A5
+SALT_CAND = 0x5A5A5A5A
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    """Aggregate per key, then a uniform n-subset of keys (own salt)."""
-    aggdf = aggregate_cand(keys, values, agg)
-    kh = hashing.hash_keys(aggdf["key"].to_numpy())
-    u = hashing.u01(murmur3_32_u32pair(kh, np.full(len(kh), _SALT_CAND, np.uint32)))
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], aggdf["value"].to_numpy()[idx])
+def salted_u01(x: np.ndarray, salt) -> np.ndarray:
+    """``h_u(h(<x, salt>))`` over uint32 ``x``: one side's hash stream."""
+    x = np.asarray(x).astype(np.uint32)
+    return hashing.u01(murmur3_32_u32pair(x, np.broadcast_to(salt, x.shape)))
+
+
+def select_train(train: Train, n: int) -> Sketch:
+    """Uniform n-subset of row positions, independent of keys and of the cand side."""
+    return bottom_n(train, salted_u01(np.arange(len(train.values)), SALT_TRAIN), n)
+
+
+def select_cand(cand: Cand, n: int) -> Sketch:
+    """Uniform n-subset of the aggregated keys (own salt)."""
+    return bottom_n(cand, salted_u01(cand.key_hash, SALT_CAND), n)
+
+
+train_sketch, cand_sketch = builders(select_train, select_cand)

@@ -17,55 +17,28 @@ import pandas as pd
 
 from repro import hashing
 
-from .base import Sketch, aggregate_cand, occurrence_index
+from .base import Cand, Sketch, Train, bottom_n, builders
 
 
-def _level2(
-    codes: np.ndarray,
-    selected_codes: np.ndarray,
-    counts: np.ndarray,
-    kh: np.ndarray,
-    values: np.ndarray,
-    u_row: np.ndarray,
-    n: int,
-    n_total: int,
-) -> Sketch:
-    """Cap rows per selected key at n_k, ranked by the per-row hash."""
-    sel_mask = np.isin(codes, selected_codes)
-    df = pd.DataFrame(
-        {
-            "code": codes[sel_mask],
-            "u_row": u_row[sel_mask],
-            "row": np.nonzero(sel_mask)[0],
-        }
-    )
-    n_k = np.maximum(1, (n * counts / n_total).astype(np.int64))
-    rank = df.groupby("code")["u_row"].rank(method="first").to_numpy()
-    keep = rank <= n_k[df["code"].to_numpy()]
-    rows = df["row"].to_numpy()[keep]
-    return Sketch(kh[rows], values[rows])
+def two_level(train: Train, key_order: np.ndarray, n: int) -> Sketch:
+    """Keep the first n key codes of ``key_order`` (level 1), then per
+    kept key the n_k rows with the smallest ``u_row`` (level 2)."""
+    rows = np.flatnonzero(np.isin(train.codes, key_order[:n]))
+    codes = train.codes[rows]
+    n_k = np.maximum(1, (n * train.counts / len(train.codes)).astype(np.int64))
+    rank = pd.Series(train.u_row[rows]).groupby(codes).rank(method="first").to_numpy()
+    rows = rows[rank <= n_k[codes]]
+    return Sketch(train.key_hash[rows], train.values[rows])
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    j = occurrence_index(keys)
-    u_row = hashing.tuple_u01(kh, j)
-    codes, uniques = pd.factorize(keys, use_na_sentinel=False)
-    counts = np.bincount(codes)
-    # Per-distinct-key sampling coordinate h_u(h(k)).
-    first_rows = np.zeros(len(uniques), dtype=np.int64)
-    first_rows[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
-    u_key = hashing.u01(kh[first_rows])
-    selected = np.argsort(u_key, kind="stable")[:n]
-    return _level2(codes, selected, counts, kh, values, u_row, n, len(keys))
+def select_train(train: Train, n: int) -> Sketch:
+    """Level 1 is KMV: the keys with the smallest ``h_u(h(k))``."""
+    return two_level(train, np.argsort(train.u_key, kind="stable"), n)
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    """Aggregate per key, then KMV over the (now unique) keys."""
-    aggdf = aggregate_cand(keys, values, agg)
-    kh = hashing.hash_keys(aggdf["key"].to_numpy())
-    u = hashing.u01(kh)
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], aggdf["value"].to_numpy()[idx])
+def select_cand(cand: Cand, n: int) -> Sketch:
+    """KMV over the (aggregated, so unique) keys."""
+    return bottom_n(cand, hashing.u01(cand.key_hash), n)
+
+
+train_sketch, cand_sketch = builders(select_train, select_cand)

@@ -10,34 +10,18 @@ reports PRISK results to be nearly identical to LV2SK.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
-from repro import hashing
-
-from .base import Sketch, aggregate_cand, occurrence_index
-from .lv2sk import _level2
-from .lv2sk import cand_sketch as _lv2_cand_sketch
+from .base import Sketch, Train, builders
+from .lv2sk import select_cand, two_level
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    j = occurrence_index(keys)
-    u_row = hashing.tuple_u01(kh, j)
-    codes, uniques = pd.factorize(keys, use_na_sentinel=False)
-    counts = np.bincount(codes)
-    first_rows = np.zeros(len(uniques), dtype=np.int64)
-    first_rows[codes[::-1]] = np.arange(len(codes) - 1, -1, -1)
-    u_key = hashing.u01(kh[first_rows])
+def select_train(train: Train, n: int) -> Sketch:
     # Priority = weight / u; avoid division by zero on the (measure
     # zero, but reachable) u == 0 hash by flooring at the smallest
     # positive float.
-    priority = counts / np.maximum(u_key, np.finfo(np.float64).tiny)
-    selected = np.argsort(-priority, kind="stable")[:n]
-    return _level2(codes, selected, counts, kh, values, u_row, n, len(keys))
+    priority = train.counts / np.maximum(train.u_key, np.finfo(np.float64).tiny)
+    return two_level(train, np.argsort(-priority, kind="stable"), n)
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    """Aggregated keys all have weight 1 -> same selection as LV2SK."""
-    return _lv2_cand_sketch(keys, values, n, agg)
+# Aggregated keys all have weight 1 -> same cand selection as LV2SK.
+train_sketch, cand_sketch = builders(select_train, select_cand)

@@ -12,24 +12,17 @@ import numpy as np
 
 from repro import hashing
 
-from .base import Sketch, aggregate_cand, occurrence_index
+from .base import Cand, Sketch, Train, bottom_n, builders
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
+def select_train(train: Train, n: int) -> Sketch:
     """Keep the n rows with the smallest ``h_u(h(<k, j>))``."""
-    keys = np.asarray(keys)
-    values = np.asarray(values)
-    kh = hashing.hash_keys(keys)
-    j = occurrence_index(keys)
-    u = hashing.tuple_u01(kh, j)
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], values[idx])
+    return bottom_n(train, train.u_row, n)
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    """Aggregate per key, then keep the n keys minimizing ``h_u(h(<k, 1>))``."""
-    aggdf = aggregate_cand(keys, values, agg)
-    kh = hashing.hash_keys(aggdf["key"].to_numpy())
-    u = hashing.tuple_u01(kh, np.ones(len(kh), dtype=np.uint32))
-    idx = np.argsort(u, kind="stable")[:n]
-    return Sketch(kh[idx], aggdf["value"].to_numpy()[idx])
+def select_cand(cand: Cand, n: int) -> Sketch:
+    """Keep the n keys minimizing ``h_u(h(<k, 1>))``."""
+    return bottom_n(cand, hashing.tuple_u01(cand.key_hash, np.ones_like(cand.key_hash)), n)
+
+
+train_sketch, cand_sketch = builders(select_train, select_cand)

@@ -3,7 +3,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.sketch.base import AGG_FUNCTIONS, aggregate_cand
+from repro.sketch.base import AGG_FUNCTIONS, Train, aggregate_cand
 
 # Paper Example 2: K_Z = [a,b,b,b,c,c,c], Z = [1,2,2,5,0,3,3]
 KZ = np.array(list("abbbccc"), dtype=object)
@@ -72,3 +72,74 @@ def test_unknown_agg_raises():
 
 def test_all_aggs_listed():
     assert set(AGG_FUNCTIONS) == {"avg", "count", "mode", "first"}
+
+
+# ---------- vectorized MODE: the edges of pandas' value_counts semantics ----------
+
+def _mode_reference(keys, values) -> pd.DataFrame:
+    """MODE as a per-group ``value_counts`` with first-seen tie-breaking."""
+
+    def first_seen_mode(s: pd.Series):
+        counts = s.value_counts()
+        top = set(counts[counts == counts.max()].index)
+        return next((v for v in s if v in top), None)
+
+    out = pd.DataFrame({"key": keys, "value": values}).groupby("key", sort=False)["value"]
+    out = out.agg(first_seen_mode)
+    return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})
+
+
+def test_mode_ignores_nan_values():
+    keys = np.array(["k"] * 5 + ["m"] * 2, object)
+    vals = np.array([np.nan, np.nan, np.nan, 4.0, 4.0, np.nan, 1.0])
+    assert _as_map(aggregate_cand(keys, vals, "mode")) == {"k": 4.0, "m": 1.0}
+
+
+def test_mode_all_nan_key_gets_nan():
+    keys = np.array(["k", "k", "m"], object)
+    out = aggregate_cand(keys, np.array([np.nan, np.nan, 2.0]), "mode")
+    assert out["key"].tolist() == ["k", "m"]
+    assert np.isnan(out["value"][0]) and out["value"][1] == 2.0
+
+
+def test_mode_drops_null_cand_keys():
+    keys = np.array([None, "a", np.nan, "b", None], object)
+    out = aggregate_cand(keys, np.array([1.0, 2.0, 3.0, 4.0, 5.0]), "mode")
+    assert out["key"].tolist() == ["a", "b"]
+    assert out["value"].tolist() == [2.0, 4.0]
+
+
+def test_mode_string_tie_goes_to_first_seen():
+    keys = np.array(["k"] * 6, object)
+    vals = np.array(["blue", "red", None, "red", "blue", None], object)
+    assert _as_map(aggregate_cand(keys, vals, "mode")) == {"k": "blue"}
+
+
+def test_mode_matches_per_group_value_counts():
+    rng = np.random.default_rng(11)
+    keys = rng.integers(0, 60, 2_000).astype(float)
+    keys[rng.random(2_000) < 0.05] = np.nan
+    for vals in (
+        np.where(rng.random(2_000) < 0.3, np.nan, rng.integers(0, 4, 2_000).astype(float)),
+        np.array([None, "x", "y", "z"], object)[rng.integers(0, 4, 2_000)],
+        rng.integers(0, 3, 2_000),
+    ):
+        got, want = aggregate_cand(keys, vals, "mode"), _mode_reference(keys, vals)
+        assert got["key"].to_numpy().tobytes() == want["key"].to_numpy().tobytes()
+        assert got["value"].dtype == want["value"].dtype
+        assert got["value"].equals(want["value"])
+
+
+def test_distinct_key_hashes_broadcast_equal_row_hashes():
+    """Train preparation hashes each distinct key once; for a float key
+    column mixing integral values, non-integral values and NaN this must
+    equal hashing every row, since the encoding is decided per batch."""
+    from repro.hashing import hash_keys
+
+    keys = np.array([3.0, 2.5, np.nan, 3.0, 7.0, np.nan, 2.5, -1.0])
+    codes, uniques = pd.factorize(keys, use_na_sentinel=False)
+    assert (hash_keys(uniques)[codes] == hash_keys(keys)).all()
+    integral = np.array([3.0, np.nan, 3.0, 7.0])
+    codes, uniques = pd.factorize(integral, use_na_sentinel=False)
+    assert (hash_keys(uniques)[codes] == hash_keys(integral)).all()
+    assert (Train(keys, np.arange(8.0)).key_hash == hash_keys(keys)).all()

@@ -5,7 +5,6 @@ import pytest
 from repro.hashing import (
     encode_values,
     hash_keys,
-    key_u01,
     murmur3_32,
     murmur3_32_batch,
     murmur3_32_u32pair,
@@ -114,11 +113,6 @@ def test_tuple_u01_j1_matches_across_calls():
     u1 = tuple_u01(kh, np.ones(2))
     u2 = tuple_u01(kh, np.ones(2))
     assert (u1 == u2).all()
-
-
-def test_key_u01_is_composition():
-    vals = np.array(["p", "q"], object)
-    assert (key_u01(vals) == u01(hash_keys(vals))).all()
 
 
 def test_empty_input():

@@ -28,5 +28,7 @@ def test_job_importable_and_has_main(name):
 
 
 def test_common_session_config():
-    mod = _load("_common")
-    assert callable(mod.session)
+    from repro.core import session
+
+    assert callable(session.session)
+    assert session.driver_memory()[0]
