@@ -10,11 +10,10 @@ Section III-B defines relational data augmentation as:
     ON t.key = a.key
 
 with NULL rows (keys missing from T_cand) discarded before MI
-estimation. :func:`featurize` builds the aggregated T_aug,
-:func:`augment` performs the left join, and :func:`full_join_mi`
-estimates MI on the materialized result — the "expensive path" that
-the sketches approximate. Tests oracle-check these operators against
-DuckDB running the SQL above.
+estimation. :func:`featurize` builds the aggregated T_aug and
+:func:`augment` performs the left join: the materialized result is the
+"expensive path" that the sketches approximate. Tests oracle-check
+these operators against DuckDB running the SQL above.
 
 Aggregation determinism: Spark's ``first``/``mode`` are order-dependent
 and tie-arbitrary, so we implement FIRST as the value at the minimum
@@ -24,12 +23,9 @@ appearance — the exact semantics of the numpy core in
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
-from pyspark.sql import Column, DataFrame, Window
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
-from repro.mi import estimate_mi
 from repro.sketch.base import AGG_FUNCTIONS
 
 
@@ -87,26 +83,3 @@ def augment(
     if drop_nulls:
         joined = joined.where(F.col(x_col).isNotNull())
     return joined
-
-
-def full_join_pairs(
-    train_df: DataFrame, cand_df: DataFrame, *, agg: str = "avg", **kw
-) -> pd.DataFrame:
-    """Materialize the augmentation join and collect the (y, x) pairs."""
-    return augment(train_df, cand_df, agg=agg, **kw).select("y", "x").toPandas()
-
-
-def full_join_mi(
-    train_df: DataFrame,
-    cand_df: DataFrame,
-    *,
-    estimator: str,
-    agg: str = "avg",
-    **kw,
-) -> tuple[float, int]:
-    """MI estimated on the fully materialized join; returns (mi, join_size)."""
-    pairs = full_join_pairs(train_df, cand_df, agg=agg, **kw)
-    if len(pairs) == 0:
-        return 0.0, 0
-    mi = estimate_mi(pairs["x"].to_numpy(), pairs["y"].to_numpy(), estimator)
-    return mi, len(pairs)

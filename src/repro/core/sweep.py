@@ -32,12 +32,14 @@ def run_pair_evaluations(
     train_tall: pd.DataFrame | DataFrame,
     cand_tall: pd.DataFrame | DataFrame,
     eval_fn: Callable[[int, pd.DataFrame, pd.DataFrame], pd.DataFrame],
-    schema: str = RESULT_SCHEMA,
 ) -> pd.DataFrame:
     """Evaluate every pair_id with ``eval_fn`` via cogrouped applyInPandas.
 
     ``train_tall``/``cand_tall`` must contain a ``pair_id`` column plus
-    whatever columns ``eval_fn`` expects (typically rid/key/value).
+    whatever columns ``eval_fn`` expects (typically rid/key/value), and
+    ``eval_fn`` returns rows of ``RESULT_SCHEMA``. The rows come back
+    sorted by ``pair_id``, each pair's rows in ``eval_fn``'s order, so
+    the output does not depend on task scheduling.
     """
     tdf = train_tall if isinstance(train_tall, DataFrame) else spark.createDataFrame(train_tall)
     cdf = cand_tall if isinstance(cand_tall, DataFrame) else spark.createDataFrame(cand_tall)
@@ -50,6 +52,6 @@ def run_pair_evaluations(
     out = (
         tdf.groupby("pair_id")
         .cogroup(cdf.groupby("pair_id"))
-        .applyInPandas(_fn, schema=schema)
+        .applyInPandas(_fn, schema=RESULT_SCHEMA)
     )
-    return out.toPandas()
+    return out.toPandas().sort_values("pair_id", kind="stable", ignore_index=True)

@@ -13,7 +13,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
-from repro.core.sweep import RESULT_SCHEMA, run_pair_evaluations
+from repro.core.sweep import run_pair_evaluations
 from repro.experiments import table1
 
 
@@ -29,7 +29,7 @@ def run(spark: SparkSession, workload: table1.Workload | None = None) -> pd.Data
             agg="avg", compute_full=True,
         )
 
-    raw = run_pair_evaluations(spark, wl.train_tall, wl.cand_tall, _eval, RESULT_SCHEMA)
+    raw = run_pair_evaluations(spark, wl.train_tall, wl.cand_tall, _eval)
     return raw.merge(wl.meta, on="pair_id")
 
 

@@ -23,7 +23,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
-from repro.core.sweep import RESULT_SCHEMA, run_pair_evaluations
+from repro.core.sweep import run_pair_evaluations
 from repro.synthgen import cdunif, decompose, trinomial
 
 N_ROWS = 10_000
@@ -103,7 +103,7 @@ def run(spark: SparkSession, workload: Workload | None = None, *, n: int = SKETC
             agg="avg", compute_full=False,
         )
 
-    raw = run_pair_evaluations(spark, wl.train_tall, wl.cand_tall, _eval, RESULT_SCHEMA)
+    raw = run_pair_evaluations(spark, wl.train_tall, wl.cand_tall, _eval)
     return raw.merge(wl.meta, on="pair_id")
 
 

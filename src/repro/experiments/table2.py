@@ -17,7 +17,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
-from repro.core.sweep import RESULT_SCHEMA, run_pair_evaluations
+from repro.core.sweep import run_pair_evaluations
 from repro.mi import choose_estimator_name
 from repro.opendata import generate_collection, tall_frames
 from repro.opendata.typeinfer import cast_column
@@ -57,7 +57,7 @@ def run(
             estimators=((est, "none"),), agg=agg, compute_full=True,
         )
 
-    raw = run_pair_evaluations(spark, train_tall, cand_tall, _eval, RESULT_SCHEMA)
+    raw = run_pair_evaluations(spark, train_tall, cand_tall, _eval)
     raw["collection"] = collection
     return raw
 

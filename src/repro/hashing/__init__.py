@@ -28,13 +28,13 @@ __all__ = [
 ]
 
 
-def hash_keys(values: np.ndarray, seed: int = 0) -> np.ndarray:
+def hash_keys(values: np.ndarray) -> np.ndarray:
     """``h(k)``: uint32 MurmurHash3 of each canonical-encoded value."""
     values = np.asarray(values)
     if len(values) == 0:
         return np.empty(0, dtype=np.uint32)
     padded, lengths = encode_values(values)
-    return murmur3_32_batch(padded, lengths, seed=seed)
+    return murmur3_32_batch(padded, lengths)
 
 
 def u01(hashes: np.ndarray) -> np.ndarray:
@@ -42,7 +42,7 @@ def u01(hashes: np.ndarray) -> np.ndarray:
     return fibonacci_u01(np.asarray(hashes, dtype=np.uint64))
 
 
-def tuple_u01(key_hashes: np.ndarray, occurrence: np.ndarray, seed: int = 0) -> np.ndarray:
+def tuple_u01(key_hashes: np.ndarray, occurrence: np.ndarray) -> np.ndarray:
     """``h_u(h(<k, j>))`` — the TUPSK per-row sampling coordinate.
 
     ``key_hashes`` are uint32 ``h(k)`` values; ``occurrence`` is the
@@ -50,4 +50,4 @@ def tuple_u01(key_hashes: np.ndarray, occurrence: np.ndarray, seed: int = 0) -> 
     """
     kh = np.asarray(key_hashes, dtype=np.uint32)
     j = np.asarray(occurrence, dtype=np.uint32)
-    return u01(murmur3_32_u32pair(kh, j, seed=seed))
+    return u01(murmur3_32_u32pair(kh, j))

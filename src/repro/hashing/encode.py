@@ -2,46 +2,65 @@
 
 Join keys may arrive as integers, floats that happen to be integral
 (a common artifact of pandas NULL-handling), or strings. Both sides of
-a join must hash identical logical values to identical bytes, so we
-canonicalise before hashing:
+a join must hash identical logical values to identical bytes, so each
+value is canonicalised on its own, whatever else is in its array:
 
-* integer dtypes           -> 8-byte little-endian two's complement
-* float dtypes, integral   -> same 8-byte integer encoding
-* everything else          -> UTF-8 bytes of ``str(value)``
+* integers and finite integral floats -> 8-byte little-endian int64
+* everything else                     -> UTF-8 bytes of ``str(value)``
 
-The integer fast path is fully vectorized; the string path pads to the
-max length for :func:`repro.hashing.murmur3.murmur3_32_batch`.
+Booleans count as "everything else" (``b"True"``). Integer and float
+arrays take vectorized paths; the string rows are padded to the
+longest for :func:`repro.hashing.murmur3.murmur3_32_batch`.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+_INT64_END = 2.0**63
+
+
+def _as_int64(v) -> int | None:
+    """The int64 a scalar key encodes as, or None if it encodes as a string."""
+    if isinstance(v, (bool, np.bool_)):
+        return None
+    if isinstance(v, (int, np.integer)):
+        return int(v) if -_INT64_END <= v < _INT64_END else None
+    if isinstance(v, (float, np.floating)) and math.isfinite(v) and v == math.floor(v):
+        return int(v) if -_INT64_END <= v < _INT64_END else None
+    return None
+
+
+def _int_rows(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(mask, ints)``: which values encode as int64, and those int64s."""
+    if values.dtype.kind in "iu":
+        return np.ones(len(values), bool), values.astype(np.int64)
+    if values.dtype.kind == "f":
+        with np.errstate(invalid="ignore"):
+            mask = (np.floor(values) == values) & (np.abs(values) < _INT64_END)
+        return mask, values[mask].astype(np.int64)
+    if values.dtype.kind == "O":
+        ints = [None if type(v) is str else _as_int64(v) for v in values.tolist()]
+        mask = np.fromiter((i is not None for i in ints), bool, len(ints))
+        return mask, np.array([i for i in ints if i is not None], dtype=np.int64)
+    return np.zeros(len(values), bool), np.empty(0, np.int64)
 
 
 def encode_values(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return ``(padded_uint8_matrix, lengths)`` for an array of key values."""
     values = np.asarray(values)
-    if values.dtype.kind in "iu":
-        as_int = values.astype(np.int64)
-        return as_int.view(np.uint8).reshape(-1, 8).copy(), np.full(len(values), 8)
-    if values.dtype.kind == "f":
-        finite = np.isfinite(values)
-        integral = finite & (np.floor(values) == values) & (np.abs(values) < 2**62)
-        if integral.all():
-            as_int = values.astype(np.int64)
-            return as_int.view(np.uint8).reshape(-1, 8).copy(), np.full(len(values), 8)
-    # Generic path: canonical string form. Integral floats still print
-    # as integers so that 1, 1.0 and "1" disagree only with "1" (string
-    # keys are compared as strings by the join anyway).
-    strs = []
-    for v in values.tolist():
-        if isinstance(v, float) and np.isfinite(v) and v == int(v) and abs(v) < 2**62:
-            strs.append(str(int(v)))
-        else:
-            strs.append(str(v))
-    bs = [s.encode("utf-8") for s in strs]
-    lengths = np.fromiter((len(b) for b in bs), dtype=np.int64, count=len(bs))
-    width = max(4, int(lengths.max(initial=1)))
-    padded = np.zeros((len(bs), width), dtype=np.uint8)
-    for i, b in enumerate(bs):
-        padded[i, : len(b)] = np.frombuffer(b, dtype=np.uint8)
+    mask, ints = _int_rows(values)
+    if mask.all():
+        return ints.view(np.uint8).reshape(-1, 8).copy(), np.full(len(values), 8)
+    strs = [str(v).encode("utf-8") for v in values[~mask].tolist()]
+    str_lengths = np.fromiter(map(len, strs), dtype=np.int64, count=len(strs))
+    lengths = np.full(len(values), 8, dtype=np.int64)
+    lengths[~mask] = str_lengths
+    padded = np.zeros((len(values), max(8, int(str_lengths.max(initial=0)))), dtype=np.uint8)
+    padded[mask, :8] = ints.view(np.uint8).reshape(-1, 8)
+    # Scatter the concatenated string bytes to (row, column) in one go.
+    rows = np.repeat(np.flatnonzero(~mask), str_lengths)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(str_lengths) - str_lengths, str_lengths)
+    padded[rows, cols] = np.frombuffer(b"".join(strs), dtype=np.uint8)
     return padded, lengths

@@ -95,8 +95,14 @@ def aggregate_cand(keys: np.ndarray, values: np.ndarray, agg: str) -> pd.DataFra
     keys, values = np.asarray(keys), np.asarray(values)
     if agg == "mode":
         return _mode(keys, values)
+    if agg == "first":  # the value at the key's first row, NaN included: MIN_BY(x, rid)
+        codes, uniques = pd.factorize(keys)  # NULL keys -> -1
+        rows = np.flatnonzero(codes >= 0)
+        return pd.DataFrame(
+            {"key": uniques, "value": values[rows[np.unique(codes[rows], return_index=True)[1]]]}
+        )
     g = pd.DataFrame({"key": keys, "value": values}).groupby("key", sort=False)["value"]
-    out = g.mean() if agg == "avg" else g.size() if agg == "count" else g.first()
+    out = g.mean() if agg == "avg" else g.size()
     return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})
 
 
@@ -111,9 +117,6 @@ class Train:
         self.codes, _ = pd.factorize(self.keys, use_na_sentinel=False)
         self.counts = np.bincount(self.codes)
         first_rows = np.unique(self.codes, return_index=True)[1]
-        # Hashing one value per code equals hashing every row: a float
-        # column's integral-or-string encoding is decided over the batch,
-        # and its distinct values decide it as the whole column does.
         hashes = hashing.hash_keys(self.keys[first_rows])
         self.key_hash = hashes[self.codes]
         self.u_row = hashing.tuple_u01(self.key_hash, occurrence_index(self.codes))

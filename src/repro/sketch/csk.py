@@ -5,8 +5,9 @@ coordinated sampling over *distinct* join keys and keep one value per
 key. They "do not prescribe how to handle repeated join keys"; per the
 paper's baseline setup we keep the **first value seen** for each key on
 both sides — no aggregation function is applied, so repeated-key
-information on either table is simply dropped. "First" is pandas'
-``first``: the first non-NaN value, not necessarily the j = 1 row.
+information on either table is simply dropped. "First" is the value
+at the key's first row, NaN included (SQL's ``MIN_BY(x, rid)``): on
+the train side, the j = 1 row.
 """
 from __future__ import annotations
 

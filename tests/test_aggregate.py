@@ -133,7 +133,7 @@ def test_mode_matches_per_group_value_counts():
 def test_distinct_key_hashes_broadcast_equal_row_hashes():
     """Train preparation hashes each distinct key once; for a float key
     column mixing integral values, non-integral values and NaN this must
-    equal hashing every row, since the encoding is decided per batch."""
+    equal hashing every row."""
     from repro.hashing import hash_keys
 
     keys = np.array([3.0, 2.5, np.nan, 3.0, 7.0, np.nan, 2.5, -1.0])
@@ -143,3 +143,13 @@ def test_distinct_key_hashes_broadcast_equal_row_hashes():
     codes, uniques = pd.factorize(integral, use_na_sentinel=False)
     assert (hash_keys(uniques)[codes] == hash_keys(integral)).all()
     assert (Train(keys, np.arange(8.0)).key_hash == hash_keys(keys)).all()
+
+
+def test_first_is_the_first_row_nan_included():
+    """FIRST is SQL's MIN_BY(x, rid): the value at the key's first row,
+    even when it is NaN; NULL keys are dropped."""
+    keys = np.array(["a", "b", "a", None, "b"], object)
+    vals = np.array([np.nan, 2.0, 1.0, 5.0, np.nan])
+    out = aggregate_cand(keys, vals, "first")
+    assert out["key"].tolist() == ["a", "b"]
+    assert np.isnan(out["value"].iloc[0]) and out["value"].iloc[1] == 2.0

@@ -11,6 +11,7 @@ import pytest
 from repro import synth_data
 from repro.core import fulljoin
 from repro.core.evaluate import full_join_pairs_pandas
+from repro.mi import estimate_mi
 from repro.oracle import assert_equivalent
 from repro.synthgen import cdunif, decompose
 
@@ -99,7 +100,7 @@ def test_full_join_pairs_pandas_matches_spark(spark):
     nestable)."""
     train, cand = _tables(seed=3)
     tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand)
-    spark_pairs = fulljoin.full_join_pairs(tdf, cdf, agg="avg")
+    spark_pairs = fulljoin.augment(tdf, cdf, agg="avg").select("y", "x").toPandas()
     py, px = full_join_pairs_pandas(train, cand, "avg")
     a = sorted(zip(np.round(px, 9), np.round(py, 9)))
     b = sorted(zip(np.round(spark_pairs["x"].to_numpy(), 9), np.round(spark_pairs["y"].to_numpy(), 9)))
@@ -109,7 +110,8 @@ def test_full_join_pairs_pandas_matches_spark(spark):
 def test_full_join_mi_returns_size(spark):
     train, cand = _tables(seed=4)
     tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand)
-    mi, size = fulljoin.full_join_mi(tdf, cdf, estimator="mixed_ksg", agg="avg")
+    pairs = fulljoin.augment(tdf, cdf, agg="avg").select("y", "x").toPandas()
+    mi, size = estimate_mi(pairs["x"].to_numpy(), pairs["y"].to_numpy(), "mixed_ksg"), len(pairs)
     assert size == len(train)
     assert mi > 0.5  # x ~ key-determined, y in [x, x+2] -> strong MI
 

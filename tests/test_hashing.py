@@ -77,10 +77,17 @@ def test_encode_strings_roundtrip():
     assert bytes(padded[2, :11]) == b"hello world"
 
 
-def test_encode_mixed_float_uses_string_form():
+def test_encode_is_per_value():
+    """A value's bytes do not depend on the other values in its array:
+    integral floats encode as int64 next to non-integral ones too."""
     padded, lengths = encode_values(np.array([1.5, 2.0]))
     assert bytes(padded[0, : lengths[0]]) == b"1.5"
-    assert bytes(padded[1, : lengths[1]]) == b"2"
+    assert bytes(padded[1, : lengths[1]]) == (2).to_bytes(8, "little")
+    mixed = np.array([3.0, 2.5, np.nan, 7, "7", True, None], object)
+    alone = [hash_keys(np.array([v], object))[0] for v in mixed]
+    assert hash_keys(mixed).tolist() == alone
+    assert hash_keys(np.array([3.0, 2.5]))[0] == hash_keys(np.array([3]))[0]
+    assert hash_keys(np.array(["7"], object))[0] != hash_keys(np.array([7]))[0]
 
 
 def test_hash_keys_distinct_inputs_mostly_distinct():

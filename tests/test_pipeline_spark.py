@@ -1,5 +1,6 @@
 """Spark sketch builders must equal the numpy core byte-for-byte."""
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core import pipeline
@@ -60,15 +61,15 @@ def test_cand_sketch_spark_equals_numpy(spark, keydep_pair, method, agg):
 
 @pytest.mark.parametrize("method", list(METHODS))
 def test_end_to_end_estimate_matches_numpy_path(spark, keydep_pair, method):
-    pair = keydep_pair
-    res = pipeline.sketch_mi_estimate(
-        spark.createDataFrame(pair.train),
-        spark.createDataFrame(pair.cand),
-        n=128, method=method, estimator="mixed_ksg",
-    )
     from repro.sketch import join_sketches
     from repro.mi import estimate_mi
 
+    pair = keydep_pair
+    sy, sx = join_sketches(
+        pipeline.spark_train_sketch(spark.createDataFrame(pair.train), n=128, method=method),
+        pipeline.spark_cand_sketch(spark.createDataFrame(pair.cand), n=128, method=method),
+    )
+    res = {"join_size": len(sy), "mi": estimate_mi(sx, sy, "mixed_ksg") if len(sy) > 3 else 0.0}
     st, sc = build_pair(
         method,
         pair.train["key"].to_numpy(), pair.train["y"].to_numpy(),
@@ -79,6 +80,34 @@ def test_end_to_end_estimate_matches_numpy_path(spark, keydep_pair, method):
     expected_mi = estimate_mi(x.astype(float), y.astype(float), "mixed_ksg") if len(y) > 3 else 0.0
     assert res["join_size"] == len(y)
     assert res["mi"] == pytest.approx(expected_mi, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_float_keys_spark_equals_numpy(spark, method):
+    """Integral float keys hash as int64 however Spark batches the rows:
+    one non-integral key (the last row) changes no other key's hash."""
+    rng = np.random.default_rng(23)
+    train = pd.DataFrame({
+        "rid": np.arange(4000),
+        "key": np.append(rng.integers(0, 300, 3999).astype(float), 2.5),
+        "y": rng.normal(size=4000),
+    })
+    expected = METHODS[method][0](train["key"].to_numpy(), train["y"].to_numpy(), 128)
+    got = pipeline.spark_train_sketch(spark.createDataFrame(train), n=128, method=method)
+    _assert_same(expected, got)
+
+
+def test_csk_first_value_is_the_first_row_nan_included(spark):
+    """CSK keeps each key's first-row value on both sides, NaN included."""
+    rng = np.random.default_rng(24)
+    keys = rng.integers(0, 40, 600)
+    vals = rng.normal(size=600)
+    vals[np.unique(keys, return_index=True)[1][::2]] = np.nan  # first rows of half the keys
+    table = pd.DataFrame({"rid": np.arange(600), "key": keys, "y": vals, "x": vals})
+    train_fn, cand_fn = METHODS["csk"]
+    df = spark.createDataFrame(table)
+    _assert_same(train_fn(keys, vals, 32), pipeline.spark_train_sketch(df, n=32, method="csk"))
+    _assert_same(cand_fn(keys, vals, 32), pipeline.spark_cand_sketch(df, n=32, method="csk"))
 
 
 def test_unknown_method_raises(spark, keydep_pair):

@@ -1,0 +1,65 @@
+"""Pinned physical-plan shape of the Spark sketch builders.
+
+Each builder's final DataFrame (the selection it collects) is planned,
+and its shuffles (``Exchange``), Python round trips
+(``ArrowEvalPython``), windows and sort-merge joins are counted. A
+change that adds one fails here; one that removes one updates the pin.
+"""
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from repro.core import pipeline
+from repro.synthgen import cdunif, decompose
+
+NODES = ("Exchange", "ArrowEvalPython", "Window", "SortMergeJoin")
+
+#: (Exchange, ArrowEvalPython, Window, SortMergeJoin) per method and side.
+#: LV2SK / PRISK also run one level-1 job before the final selection: it
+#: selects from the same prepared side.
+PINNED = {
+    ("train", "tupsk"): (1, 1, 1, 0),
+    ("train", "lv2sk"): (2, 1, 2, 0),
+    ("train", "prisk"): (2, 1, 2, 0),
+    ("train", "indsk"): (0, 1, 0, 0),
+    ("train", "csk"): (1, 1, 1, 0),
+    ("cand", "tupsk"): (1, 1, 0, 0),
+    ("cand", "lv2sk"): (1, 1, 0, 0),
+    ("cand", "prisk"): (1, 1, 0, 0),
+    ("cand", "indsk"): (1, 1, 0, 0),
+    ("cand", "csk"): (1, 1, 0, 0),
+}
+
+
+def plan_nodes(df) -> tuple[int, ...]:
+    """Counts of ``NODES`` in the executed plan of ``df`` (AQE's initial plan)."""
+    plan = df._jdf.queryExecution().executedPlan()
+    if plan.nodeName() == "AdaptiveSparkPlan":
+        plan = plan.executedPlan()
+    counts, stack = Counter(), [plan]
+    while stack:
+        node = stack.pop()
+        counts[node.nodeName()] += 1
+        children = node.children()
+        stack += [children.apply(i) for i in range(children.size())]
+    return tuple(counts[name] for name in NODES)
+
+
+@pytest.fixture(scope="module")
+def pair_dfs(spark):
+    rng = np.random.default_rng(5)
+    x, y, _ = cdunif.sample(40, 1500, rng)
+    pair = decompose(x, y, "keydep")
+    return spark.createDataFrame(pair.train).cache(), spark.createDataFrame(pair.cand).cache()
+
+
+@pytest.mark.parametrize("side, method", sorted(PINNED))
+def test_builder_plan_shape_is_pinned(pair_dfs, side, method):
+    train, cand = pair_dfs
+    cols = dict(key_col="key", rid_col="rid")
+    if side == "train":
+        df = pipeline.train_selection(train, n=64, method=method, val_col="y", **cols)
+    else:
+        df = pipeline.cand_selection(cand, n=64, method=method, agg="avg", val_col="x", **cols)
+    assert plan_nodes(df) == PINNED[(side, method)]

@@ -203,3 +203,14 @@ def test_sketch_validates_alignment():
 def test_build_pair_unknown_method():
     with pytest.raises(KeyError):
         build_pair("nope", np.array(["a"], object), np.zeros(1), np.array(["a"], object), np.zeros(1), 4)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_integral_float_keys_join_next_to_non_integral_ones(method):
+    """h(3.0) is h(3) whatever else the column holds: a cand key 2.5 must
+    not change how the cand side hashes 1.0, 2.0 and 3.0."""
+    train_keys = np.array([1.0, 2.0, 3.0] * 2)
+    cand_keys = np.array([1.0, 2.0, 3.0, 2.5])
+    st, sc = build_pair(method, train_keys, np.arange(6.0), cand_keys, np.arange(4.0), 16)
+    y, _ = join_sketches(st, sc)
+    assert len(st) > 0 and len(y) == len(st)
