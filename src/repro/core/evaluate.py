@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 
 from repro.mi import estimate_mi
-from repro.sketch import SELECTORS, Cand, Train, aggregate_cand, join_sketches
+from repro.sketch import SELECTORS, Cand, Train, aggregate_cand, cand_agg, join_sketches
 
 _JITTER_SIGMA = 1e-3
 
@@ -87,9 +87,12 @@ def evaluate_pair(
     # Each side is prepared once; every method selects from it, and the
     # full join reuses the candidate side's AGG.
     train_side = Train(train["key"].to_numpy(), train["y"].to_numpy())
-    cand_side = Cand(cand["key"].to_numpy(), cand["x"].to_numpy(), agg)
+    cand_sides = {  # CSK's own AGG (FIRST) adds a side
+        a: Cand(cand["key"].to_numpy(), cand["x"].to_numpy(), a)
+        for a in {agg, *(cand_agg(m, agg) for m in methods)}
+    }
     if compute_full:
-        fy, fx = _join_aug(train, cand_side.keys, cand_side.values)
+        fy, fx = _join_aug(train, cand_sides[agg].keys, cand_sides[agg].values)
         full_size = len(fy)
         for est, jitter in estimators:
             px, py = _prepare(fx, fy, est, jitter, rng)
@@ -109,7 +112,11 @@ def evaluate_pair(
             )
     for method in methods:
         select_train, select_cand = SELECTORS[method]
-        yv, xv = join_sketches(select_train(train_side, n), select_cand(cand_side, n))
+        cand_side = cand_sides[cand_agg(method, agg)]
+        yv, xv = join_sketches(
+            train_side.sketch(select_train(train_side, n)),
+            cand_side.sketch(select_cand(cand_side, n)),
+        )
         for est, jitter in estimators:
             if len(yv) >= min_sample:
                 px, py = _prepare(xv, yv, est, jitter, rng)

@@ -1,172 +1,142 @@
-"""Distributed sketch construction as Spark DataFrame selections.
+"""Distributed sketch construction: one Spark pass per table side.
 
-This is the deployment path the paper describes (Section IV): sketches
-are built *offline* over large tables with one distributed pass, and
-only the resulting <= 2n-row sketch is collected. Discovery-time work
-(sketch join + MI estimation) is then driver-local and cheap.
+The paper's deployment path (Section IV): sketches are built offline
+over large tables in one distributed pass, and only the <= 2n-row
+sketch reaches the driver, where sketch joins and MI estimation run.
 
-The builders are the Spark twin of ``repro.sketch.base.Train`` /
-``Cand``. Each table side is prepared once: one window partitioned by
-the key gives the occurrence index ``j`` (ordered by ``rid``) and the
-key count ``n_k``, and one pandas UDF adds every sampling coordinate by
-calling the numpy core's hash functions. Each method is then a short
-selection over that side. Selection is a pure function of the hash
-substrate, so these builders produce *identical* sketches to the numpy
-core; the test suite asserts equality method-by-method.
-
-Row identity: builders require a stable row-id column (``rid``) so
-occurrence order (the j in <k, j>) is well-defined on an unordered
-DataFrame. Synthetic generators and the corpus simulator all emit one.
+Each side is repartitioned by key into P = ``defaultParallelism``
+partitions, so a key's rows, and with them its ``j`` and ``N_k``, sit
+in one partition. One ``mapInPandas`` sorts each partition by ``rid``,
+prepares it as the numpy core does (``Train``/``Cand``) and runs the
+method's own selector; the driver runs the same selector on the small
+union, sorted by ``rid``, with the ``j``, ``N_k`` and ``N = sum N_p``
+the partitions counted. That is the numpy sketch of the whole table:
+bottom-n samples merge, a partition's LV2SK/PRISK caps
+``max(1, floor(n N_k / N_p))`` are at least the global ones, and each
+kept key also sends its ``j = 1`` row, so ties between keys go to the
+first ``rid`` as in numpy. INDSK samples train rows by ``rid`` alone
+and skips the repartition. Limit: a partition must fit in one Python
+worker. Rows need a stable row id (``rid``) to define ``j``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame, Observation, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
-from pyspark.sql.functions import pandas_udf
 
-from repro import hashing
-from repro.sketch import METHODS, Sketch, indsk
+from repro.sketch import SELECTORS, Cand, Sketch, Train, aggregate_cand, cand_agg
 
-from . import fulljoin
-
-_TINY = float(np.finfo(np.float64).tiny)
-
-_COORDS = T.StructType([
-    T.StructField("kh", T.LongType()),
-    T.StructField("u_row", T.DoubleType()),
-    T.StructField("u_key", T.DoubleType()),
-    T.StructField("u_ind", T.DoubleType()),
-])
+_COUNTS = [T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p")]
 
 
-@pandas_udf(_COORDS)
-def _coords(key: pd.Series, j: pd.Series, rid: pd.Series) -> pd.DataFrame:
-    """Every sampling coordinate of a row: h(k) (as int64), h_u(h(<k, j>)),
-    h_u(h(k)) and the INDSK stream, which hashes ``rid`` on the train side
-    and h(k) on the cand side (where ``rid`` is NULL)."""
-    kh = hashing.hash_keys(key.to_numpy())
-    train = rid.notna().to_numpy()
-    ind = np.where(train, rid.fillna(0).to_numpy(np.int64), kh)
-    return pd.DataFrame({
-        "kh": kh.astype(np.int64),
-        "u_row": hashing.tuple_u01(kh, j.to_numpy()),
-        "u_key": hashing.u01(kh),
-        "u_ind": indsk.salted_u01(ind, np.where(train, indsk.SALT_TRAIN, indsk.SALT_CAND)),
-    })
-
-
-def _with_coords(side: DataFrame, j: Column, rid: Column) -> DataFrame:
-    return side.withColumn("_c", _coords(F.col("key"), j, rid)).select(*side.columns, "_c.*")
-
-
-def _train_side(rows: DataFrame) -> DataFrame:
-    """The train table prepared once: rid, key, val, j, n_k and the coordinates."""
-    w = Window.partitionBy("key").orderBy("rid")
-    side = rows.select(
-        "*",
-        F.row_number().over(w).alias("j"),
-        F.count(F.lit(1)).over(
-            w.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
-        ).alias("n_k"),
-    )
-    return _with_coords(side, F.col("j"), F.col("rid"))
-
-
-def _two_level(side: DataFrame, n: int, key_order: Column) -> DataFrame:
-    """LV2SK / PRISK: the first n keys of ``key_order`` (ties to the key
-    seen first) from the j = 1 rows, then per kept key the
-    ``max(1, floor(n * n_k / N))`` rows with the smallest ``u_row``."""
-    total = Observation()  # N, counted while level 1 is selected
-    level1 = (
-        side.where(F.col("j") == 1)
-        .observe(total, F.sum("n_k").alias("N"))
-        .orderBy(key_order, "rid")
-        .limit(n)
-        .select("key")
-        .collect()
-    )
-    cap = F.greatest(F.lit(1), F.floor(F.lit(n) * F.col("n_k") / F.lit(total.get["N"])))
-    rank = F.row_number().over(Window.partitionBy("key").orderBy("u_row", "rid"))
-    kept = side.where(F.col("key").isin([r.key for r in level1]))
-    return kept.withColumn("_rank", rank).where(F.col("_rank") <= cap)
-
-
-def train_selection(
-    df: DataFrame, *, n: int, method: str, key_col: str, val_col: str, rid_col: str
-) -> DataFrame:
-    """The rows of ``method``'s train sketch, before they are collected."""
-    if method not in METHODS:
+def _side(df: DataFrame, method: str, key_col: str, val_col: str, rid_col: str) -> DataFrame:
+    if method not in SELECTORS:
         raise ValueError(f"unknown sketch method {method!r}")
-    rows = df.select(
+    return df.select(
         F.col(rid_col).alias("rid"), F.col(key_col).alias("key"), F.col(val_col).alias("val")
     )
-    if method == "indsk":  # a uniform row sample: no key window needed
-        return _with_coords(rows, F.lit(1), F.col("rid")).orderBy("u_ind", "rid").limit(n)
-    side = _train_side(rows)
-    if method == "tupsk":
-        return side.orderBy("u_row", "rid").limit(n)
-    if method == "lv2sk":
-        return _two_level(side, n, F.col("u_key"))
-    if method == "prisk":
-        return _two_level(side, n, (F.col("n_k") / F.greatest("u_key", F.lit(_TINY))).desc())
-    # csk: the j = 1 row per key, then KMV over distinct keys
-    return side.where(F.col("j") == 1).orderBy("u_key", "rid").limit(n)
 
 
-def cand_selection(
-    df: DataFrame, *, n: int, method: str, agg: str, key_col: str, val_col: str, rid_col: str
+def _sorted(batches) -> pd.DataFrame:
+    frames = list(batches)
+    if not frames:
+        return pd.DataFrame()
+    return pd.concat(frames, ignore_index=True).sort_values("rid", kind="stable", ignore_index=True)
+
+
+def _train_pass(
+    df: DataFrame, *, n: int, method: str, key_col: str, val_col: str, rid_col: str, parts: int
 ) -> DataFrame:
-    """The rows of ``method``'s cand sketch: featurize, then select n keys."""
-    if method not in METHODS:
-        raise ValueError(f"unknown sketch method {method!r}")
-    agg = "first" if method == "csk" else agg  # CSK ignores AGG: first value seen per key
-    aug = fulljoin.featurize(df, key_col=key_col, val_col=val_col, agg=agg, rid_col=rid_col)
-    side = _with_coords(
-        aug.select(F.col(key_col).alias("key"), F.col(val_col).alias("val")),
-        F.lit(1),
-        F.lit(None).cast("long"),
+    """The rows each key-partition's train selector keeps, with the
+    first row of each of their keys, ``j``, ``n_k`` and, on a
+    partition's first row (0 on the rest), its row count ``n_p``."""
+    rows = _side(df, method, key_col, val_col, rid_col)
+    select = SELECTORS[method][0]
+    if method != "indsk":  # INDSK reads neither j nor N_k
+        rows = rows.repartition(parts, "key")
+
+    def local(batches):
+        pdf = _sorted(batches)
+        if pdf.empty:
+            return
+        train = Train(pdf["key"].to_numpy(), pdf["val"].to_numpy(), pdf["rid"].to_numpy())
+        picked = select(train, n)
+        keep = np.union1d(picked, train.first[train.codes[picked]])
+        n_p = np.zeros(len(keep), np.int64)
+        n_p[:1] = len(pdf)
+        yield pdf.iloc[keep].assign(
+            j=train.j[keep], n_k=train.counts[train.codes[keep]], n_p=n_p
+        )
+
+    return rows.mapInPandas(local, T.StructType(rows.schema.fields + _COUNTS))
+
+
+def _cand_pass(
+    df: DataFrame, *, n: int, method: str, agg: str, key_col: str, val_col: str, rid_col: str,
+    parts: int,
+) -> DataFrame:
+    """The keys each key-partition's cand selector keeps, with their AGG
+    value and the ``rid`` of their first row."""
+    rows = _side(df, method, key_col, val_col, rid_col).repartition(parts, "key")
+    select = SELECTORS[method][1]
+    agg = cand_agg(method, agg)
+    val_type = {"avg": T.DoubleType(), "count": T.LongType()}.get(agg, rows.schema["val"].dataType)
+
+    def local(batches):
+        pdf = _sorted(batches)
+        if pdf.empty:
+            return
+        keys = pdf["key"].to_numpy()
+        cand = Cand(keys, pdf["val"].to_numpy(), agg)
+        first_rid = aggregate_cand(keys, pdf["rid"].to_numpy(), "first")["value"].to_numpy()
+        picked = select(cand, n)
+        yield pd.DataFrame(
+            {"rid": first_rid[picked], "key": cand.keys[picked], "val": cand.values[picked]}
+        )
+
+    return rows.mapInPandas(
+        local, T.StructType([*rows.schema.fields[:2], T.StructField("val", val_type)])
     )
-    # TUPSK: h_u(h(<k, 1>)); INDSK: the cand stream; the rest: KMV over h_u(h(k)).
-    u = {"tupsk": "u_row", "indsk": "u_ind"}.get(method, "u_key")
-    return side.orderBy(u, "key").limit(n)
 
 
-def _collect_sketch(df: DataFrame) -> Sketch:
-    pdf = df.select("kh", "val").toPandas()
-    return Sketch(pdf["kh"].to_numpy().astype(np.uint32), pdf["val"].to_numpy())
+def _union(pass_df: DataFrame) -> pd.DataFrame:
+    return pass_df.toPandas().sort_values("rid", kind="stable", ignore_index=True)
+
+
+def _train_sketch(df: DataFrame, *, n: int, method: str, parts: int, **cols) -> Sketch:
+    u = _union(_train_pass(df, n=n, method=method, parts=parts, **cols))
+    train = Train(
+        u["key"].to_numpy(), u["val"].to_numpy(), u["rid"].to_numpy(),
+        j=u["j"].to_numpy(), n_k=u["n_k"].to_numpy(), N=int(u["n_p"].sum()),
+    )
+    return train.sketch(SELECTORS[method][0](train, n))
+
+
+def _cand_sketch(df: DataFrame, *, n: int, method: str, agg: str, parts: int, **cols) -> Sketch:
+    u = _union(_cand_pass(df, n=n, method=method, agg=agg, parts=parts, **cols))
+    # One row per key, already featurized: FIRST hands each value back as it is.
+    cand = Cand(u["key"].to_numpy(), u["val"].to_numpy(), "first")
+    return cand.sketch(SELECTORS[method][1](cand, n))
 
 
 def spark_train_sketch(
-    df: DataFrame,
-    *,
-    n: int,
-    method: str,
-    key_col: str = "key",
-    val_col: str = "y",
+    df: DataFrame, *, n: int, method: str, key_col: str = "key", val_col: str = "y",
     rid_col: str = "rid",
 ) -> Sketch:
-    """Build the train-side (left table) sketch with DataFrame ops."""
-    return _collect_sketch(
-        train_selection(df, n=n, method=method, key_col=key_col, val_col=val_col, rid_col=rid_col)
-    )
+    """Build the train-side (left table) sketch in one pass over ``df``."""
+    parts = df.sparkSession.sparkContext.defaultParallelism
+    return _train_sketch(df, n=n, method=method, parts=parts,
+                         key_col=key_col, val_col=val_col, rid_col=rid_col)
 
 
 def spark_cand_sketch(
-    df: DataFrame,
-    *,
-    n: int,
-    method: str,
-    agg: str = "avg",
-    key_col: str = "key",
-    val_col: str = "x",
-    rid_col: str = "rid",
+    df: DataFrame, *, n: int, method: str, agg: str = "avg", key_col: str = "key",
+    val_col: str = "x", rid_col: str = "rid",
 ) -> Sketch:
-    """Build the candidate-side sketch: featurize, then select n keys."""
-    return _collect_sketch(
-        cand_selection(
-            df, n=n, method=method, agg=agg, key_col=key_col, val_col=val_col, rid_col=rid_col
-        )
-    )
+    """Build the candidate-side sketch in one pass over ``df``: featurize
+    each key with ``agg``, then select."""
+    parts = df.sparkSession.sparkContext.defaultParallelism
+    return _cand_sketch(df, n=n, method=method, agg=agg, parts=parts,
+                        key_col=key_col, val_col=val_col, rid_col=rid_col)

@@ -1,10 +1,11 @@
 """Sampling-based MI sketches (paper Section IV and the §V baselines).
 
 ``SELECTORS`` maps a sketch name to its selectors over the prepared
-table sides, ``(select_train(Train, n), select_cand(Cand, n))``;
-``METHODS`` maps it to the builder pair that prepares a side and
-selects from it, ``(train_sketch(keys, values, n),
-cand_sketch(keys, values, n, agg))``.
+table sides, ``(select_train(Train, n), select_cand(Cand, n))``; each
+returns the positions of the rows it keeps, and ``side.sketch(rows)``
+makes them a :class:`Sketch`. ``METHODS`` maps a name to the builder
+pair that prepares a side and selects from it, ``(train_sketch(keys,
+values, n), cand_sketch(keys, values, n, agg))``.
 """
 from . import csk, indsk, lv2sk, prisk, tupsk
 from .base import (
@@ -16,9 +17,15 @@ SELECTORS = {name: (m.select_train, m.select_cand) for name, m in _MODULES.items
 METHODS = {name: (m.train_sketch, m.cand_sketch) for name, m in _MODULES.items()}
 
 __all__ = [
-    "AGG_FUNCTIONS", "Cand", "Sketch", "Train", "aggregate_cand", "join_sketches",
+    "AGG_FUNCTIONS", "Cand", "Sketch", "Train", "aggregate_cand", "cand_agg", "join_sketches",
     "occurrence_index", "METHODS", "SELECTORS", "csk", "indsk", "lv2sk", "prisk", "tupsk",
 ]
+
+
+def cand_agg(method: str, agg: str) -> str:
+    """The AGG ``method``'s cand side is featurized with when ``agg`` is
+    asked for: CSK always takes the first value."""
+    return getattr(_MODULES[method], "AGG", agg)
 
 
 def build_pair(

@@ -15,6 +15,7 @@ with first-appearance tie-breaking so results are order-stable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
@@ -107,20 +108,37 @@ def aggregate_cand(keys: np.ndarray, values: np.ndarray, agg: str) -> pd.DataFra
 
 
 class Train:
-    """The train (left) table, prepared once. Per row: ``key_hash`` h(k),
-    ``values``, key ``codes`` (first-appearance order) and ``u_row`` =
-    h_u(h(<k, j>)). Per key code: ``counts`` N_k and ``u_key`` = h_u(h(k)).
-    """
+    """The train (left) table, prepared once, its rows in ``rid`` order
+    (default: row positions). Per row: ``key_hash`` h(k), ``values``, key
+    ``codes`` (first-appearance order), ``j`` and ``u_row`` = h_u(h(<k, j>)).
+    Per key code: its ``first`` row, ``counts`` N_k and ``u_key`` =
+    h_u(h(k)); ``N`` rows in all. A part of a table passes the ``j``,
+    ``n_k`` (per row) and ``N`` counted over the whole table."""
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray) -> None:
+    def __init__(self, keys, values, rid=None, *, j=None, n_k=None, N=None) -> None:
         self.keys, self.values = np.asarray(keys), np.asarray(values)
+        self.rid = np.arange(len(self.keys)) if rid is None else np.asarray(rid)
         self.codes, _ = pd.factorize(self.keys, use_na_sentinel=False)
-        self.counts = np.bincount(self.codes)
-        first_rows = np.unique(self.codes, return_index=True)[1]
-        hashes = hashing.hash_keys(self.keys[first_rows])
+        self.first = np.unique(self.codes, return_index=True)[1]
+        if j is None:
+            self.counts, self.N = np.bincount(self.codes), len(self.codes)
+        else:
+            self.j, self.counts, self.N = np.asarray(j), np.asarray(n_k)[self.first], N
+        hashes = hashing.hash_keys(self.keys[self.first])
         self.key_hash = hashes[self.codes]
-        self.u_row = hashing.tuple_u01(self.key_hash, occurrence_index(self.codes))
         self.u_key = hashing.u01(hashes)
+
+    # Per-row coordinates, computed on first use: INDSK and CSK read neither.
+    @cached_property
+    def j(self) -> np.ndarray:
+        return occurrence_index(self.codes)
+
+    @cached_property
+    def u_row(self) -> np.ndarray:
+        return hashing.tuple_u01(self.key_hash, self.j)
+
+    def sketch(self, rows: np.ndarray) -> Sketch:
+        return Sketch(self.key_hash[rows], self.values[rows])
 
 
 class Cand:
@@ -128,28 +146,33 @@ class Cand:
     ``values`` per distinct non-NULL key, in first-appearance order."""
 
     def __init__(self, keys: np.ndarray, values: np.ndarray, agg: str) -> None:
-        self.table, self.agg = (keys, values), agg
         aug = aggregate_cand(keys, values, agg)
         self.keys = aug["key"].to_numpy()
         self.key_hash = hashing.hash_keys(self.keys)
         self.values = aug["value"].to_numpy()
 
-
-def bottom_n(side: Train | Cand, coord: np.ndarray, n: int) -> Sketch:
-    """The n entries of ``side`` with the smallest ``coord``; ties keep the earlier one."""
-    idx = np.argsort(coord, kind="stable")[:n]
-    return Sketch(side.key_hash[idx], side.values[idx])
+    def sketch(self, rows: np.ndarray) -> Sketch:
+        return Sketch(self.key_hash[rows], self.values[rows])
 
 
-def builders(select_train, select_cand):
+def bottom_n(coord: np.ndarray, n: int) -> np.ndarray:
+    """The positions of the n smallest ``coord``; ties keep the earlier one."""
+    return np.argsort(coord, kind="stable")[:n]
+
+
+def builders(select_train, select_cand, own_agg: str | None = None):
     """A method's ``(train_sketch(keys, values, n), cand_sketch(keys,
-    values, n, agg))``: prepare one table side, then select from it."""
+    values, n, agg))``: prepare one table side, then select from it. A
+    method with an ``own_agg`` featurizes the cand side with it, whatever
+    AGG is asked for."""
 
     def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-        return select_train(Train(keys, values), n)
+        train = Train(keys, values)
+        return train.sketch(select_train(train, n))
 
     def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-        return select_cand(Cand(keys, values, agg), n)
+        cand = Cand(keys, values, own_agg or agg)
+        return cand.sketch(select_cand(cand, n))
 
     return train_sketch, cand_sketch
 
@@ -159,15 +182,12 @@ def join_sketches(train: Sketch, cand: Sketch) -> tuple[np.ndarray, np.ndarray]:
 
     The candidate sketch has unique hashed keys (aggregation or
     first-value selection guarantees it), so this is a many-to-one
-    lookup. Returns the paired sample (y_values, x_values) that feeds
-    the MI estimator.
+    lookup: a binary search, as both sketches are sorted by ``key_hash``.
+    A 32-bit hash collision can, very rarely, leave a duplicate hash on
+    the cand side; the first is kept. Returns the paired sample
+    (y_values, x_values), in train-sketch order, for the MI estimator.
     """
-    t = pd.DataFrame({"kh": train.key_hash.astype(np.int64), "y": train.values})
-    c = pd.DataFrame({"kh": cand.key_hash.astype(np.int64), "x": cand.values})
-    if c["kh"].duplicated().any():
-        # 32-bit hash collisions between distinct keys can, very
-        # rarely, leave duplicate hashes on the aggregated side; keep
-        # the first to preserve the many-to-one join contract.
-        c = c.drop_duplicates("kh", keep="first")
-    j = t.merge(c, on="kh", how="inner", sort=True)
-    return j["y"].to_numpy(), j["x"].to_numpy()
+    pos = np.searchsorted(cand.key_hash, train.key_hash)
+    hit = pos < len(cand)
+    hit[hit] = cand.key_hash[pos[hit]] == train.key_hash[hit]
+    return train.values[hit], cand.values[pos[hit]]

@@ -12,23 +12,21 @@ the train side, the j = 1 row.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 
-from .base import Cand, Sketch, Train
-from .lv2sk import select_cand as _kmv
+from .base import Train, builders
+from .lv2sk import select_cand
 
-
-def select_train(train: Train, n: int) -> Sketch:
-    return _kmv(Cand(train.keys, train.values, "first"), n)
-
-
-def select_cand(cand: Cand, n: int) -> Sketch:
-    """CSK ignores AGG by design: first value seen per key."""
-    return _kmv(cand if cand.agg == "first" else Cand(*cand.table, "first"), n)
+#: CSK ignores the AGG it is asked for: its cand side keeps the first value.
+AGG = "first"
 
 
-def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-    return _kmv(Cand(keys, values, "first"), n)
+def select_train(train: Train, n: int) -> np.ndarray:
+    """KMV over the first (j = 1) rows of the non-NULL keys: the first
+    value of the n keys with the smallest ``h_u(h(k))``, as
+    ``select_cand`` takes them from a table featurized with FIRST."""
+    codes = np.flatnonzero(pd.notna(train.keys[train.first]))
+    return train.first[codes[np.argsort(train.u_key[codes], kind="stable")[:n]]]
 
 
-def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-    return _kmv(Cand(keys, values, "first"), n)
+train_sketch, cand_sketch = builders(select_train, select_cand, AGG)

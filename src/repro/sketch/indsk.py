@@ -20,7 +20,7 @@ import numpy as np
 from repro import hashing
 from repro.hashing.murmur3 import murmur3_32_u32pair
 
-from .base import Cand, Sketch, Train, bottom_n, builders
+from .base import Cand, Train, bottom_n, builders
 
 #: Salts of the two sides' hash streams, shared with the Spark builders.
 SALT_TRAIN = 0xA5A5A5A5
@@ -33,14 +33,14 @@ def salted_u01(x: np.ndarray, salt) -> np.ndarray:
     return hashing.u01(murmur3_32_u32pair(x, np.broadcast_to(salt, x.shape)))
 
 
-def select_train(train: Train, n: int) -> Sketch:
-    """Uniform n-subset of row positions, independent of keys and of the cand side."""
-    return bottom_n(train, salted_u01(np.arange(len(train.values)), SALT_TRAIN), n)
+def select_train(train: Train, n: int) -> np.ndarray:
+    """Uniform n-subset of the rows by ``rid``, independent of keys and of the cand side."""
+    return bottom_n(salted_u01(train.rid, SALT_TRAIN), n)
 
 
-def select_cand(cand: Cand, n: int) -> Sketch:
+def select_cand(cand: Cand, n: int) -> np.ndarray:
     """Uniform n-subset of the aggregated keys (own salt)."""
-    return bottom_n(cand, salted_u01(cand.key_hash, SALT_CAND), n)
+    return bottom_n(salted_u01(cand.key_hash, SALT_CAND), n)
 
 
 train_sketch, cand_sketch = builders(select_train, select_cand)

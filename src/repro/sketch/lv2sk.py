@@ -17,28 +17,27 @@ import pandas as pd
 
 from repro import hashing
 
-from .base import Cand, Sketch, Train, bottom_n, builders
+from .base import Cand, Train, bottom_n, builders
 
 
-def two_level(train: Train, key_order: np.ndarray, n: int) -> Sketch:
+def two_level(train: Train, key_order: np.ndarray, n: int) -> np.ndarray:
     """Keep the first n key codes of ``key_order`` (level 1), then per
     kept key the n_k rows with the smallest ``u_row`` (level 2)."""
     rows = np.flatnonzero(np.isin(train.codes, key_order[:n]))
     codes = train.codes[rows]
-    n_k = np.maximum(1, (n * train.counts / len(train.codes)).astype(np.int64))
+    n_k = np.maximum(1, (n * train.counts / train.N).astype(np.int64))
     rank = pd.Series(train.u_row[rows]).groupby(codes).rank(method="first").to_numpy()
-    rows = rows[rank <= n_k[codes]]
-    return Sketch(train.key_hash[rows], train.values[rows])
+    return rows[rank <= n_k[codes]]
 
 
-def select_train(train: Train, n: int) -> Sketch:
+def select_train(train: Train, n: int) -> np.ndarray:
     """Level 1 is KMV: the keys with the smallest ``h_u(h(k))``."""
     return two_level(train, np.argsort(train.u_key, kind="stable"), n)
 
 
-def select_cand(cand: Cand, n: int) -> Sketch:
+def select_cand(cand: Cand, n: int) -> np.ndarray:
     """KMV over the (aggregated, so unique) keys."""
-    return bottom_n(cand, hashing.u01(cand.key_hash), n)
+    return bottom_n(hashing.u01(cand.key_hash), n)
 
 
 train_sketch, cand_sketch = builders(select_train, select_cand)

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Sketch, Train, builders
+from .base import Train, builders
 from .lv2sk import select_cand, two_level
 
 
-def select_train(train: Train, n: int) -> Sketch:
+def select_train(train: Train, n: int) -> np.ndarray:
     # Priority = weight / u; avoid division by zero on the (measure
     # zero, but reachable) u == 0 hash by flooring at the smallest
     # positive float.

@@ -12,17 +12,17 @@ import numpy as np
 
 from repro import hashing
 
-from .base import Cand, Sketch, Train, bottom_n, builders
+from .base import Cand, Train, bottom_n, builders
 
 
-def select_train(train: Train, n: int) -> Sketch:
+def select_train(train: Train, n: int) -> np.ndarray:
     """Keep the n rows with the smallest ``h_u(h(<k, j>))``."""
-    return bottom_n(train, train.u_row, n)
+    return bottom_n(train.u_row, n)
 
 
-def select_cand(cand: Cand, n: int) -> Sketch:
+def select_cand(cand: Cand, n: int) -> np.ndarray:
     """Keep the n keys minimizing ``h_u(h(<k, 1>))``."""
-    return bottom_n(cand, hashing.tuple_u01(cand.key_hash, np.ones_like(cand.key_hash)), n)
+    return bottom_n(hashing.tuple_u01(cand.key_hash, np.ones_like(cand.key_hash)), n)
 
 
 train_sketch, cand_sketch = builders(select_train, select_cand)

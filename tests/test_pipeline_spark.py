@@ -3,8 +3,9 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro import hashing
 from repro.core import pipeline
-from repro.sketch import METHODS, build_pair
+from repro.sketch import METHODS, SELECTORS, Train, build_pair, indsk
 from repro.synthgen import cdunif, decompose
 
 
@@ -133,3 +134,153 @@ def test_tupsk_scales_to_sf01_lineitem(spark):
         assert 512 <= len(s2) <= 1024
     finally:
         li.unpersist()
+
+
+# ---------- one pass per side: exact for any partitioning ----------
+
+def _numpy_train(table: pd.DataFrame, method: str, n: int):
+    """The numpy train sketch of ``table`` taken in ``rid`` order."""
+    t = table.sort_values("rid", kind="stable")
+    side = Train(t["key"].to_numpy(), t["y"].to_numpy(), t["rid"].to_numpy())
+    return side.sketch(SELECTORS[method][0](side, n))
+
+
+def _spark_train(spark, table, method, n, parts):
+    return pipeline._train_sketch(
+        spark.createDataFrame(table), n=n, method=method, parts=parts,
+        key_col="key", val_col="y", rid_col="rid",
+    )
+
+
+def _spark_cand(spark, table, method, n, parts, agg="avg"):
+    return pipeline._cand_sketch(
+        spark.createDataFrame(table), n=n, method=method, agg=agg, parts=parts,
+        key_col="key", val_col="x", rid_col="rid",
+    )
+
+
+@pytest.fixture(scope="module")
+def skewed_table():
+    rng = np.random.default_rng(26)
+    keys = rng.zipf(1.6, 3000) % 400
+    return pd.DataFrame({
+        "rid": np.arange(3000), "key": keys, "y": rng.normal(size=3000), "x": rng.normal(size=3000),
+    })
+
+
+@pytest.mark.parametrize("parts", [1, 3, 64])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_sketches_do_not_depend_on_the_partition_count(spark, skewed_table, method, parts):
+    train_fn, cand_fn = METHODS[method]
+    keys = skewed_table["key"].to_numpy()
+    _assert_same(
+        train_fn(keys, skewed_table["y"].to_numpy(), 96),
+        _spark_train(spark, skewed_table, method, 96, parts),
+    )
+    _assert_same(
+        cand_fn(keys, skewed_table["x"].to_numpy(), 48, "mode"),
+        _spark_cand(spark, skewed_table, method, 48, parts, agg="mode"),
+    )
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_one_key_holding_more_than_a_partition_share(spark, method):
+    """Key 0 holds 900 of 2000 rows, more than N / P = 500: its partition's
+    N_p exceeds the others', and LV2SK/PRISK caps still come out global."""
+    rng = np.random.default_rng(27)
+    keys = np.where(rng.random(2000) < 0.45, 0, rng.integers(1, 300, 2000))
+    table = pd.DataFrame({"rid": np.arange(2000), "key": keys, "y": rng.normal(size=2000)})
+    assert (keys == 0).sum() > 2000 / 4
+    _assert_same(
+        METHODS[method][0](keys, table["y"].to_numpy(), 128),
+        _spark_train(spark, table, method, 128, 4),
+    )
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_offset_shuffled_row_ids_spark_equals_numpy(spark, method):
+    """rid is neither 0..N-1 nor in row order: j follows rid, and INDSK
+    hashes rid, on both engines."""
+    rng = np.random.default_rng(28)
+    table = pd.DataFrame({
+        "rid": 10**9 + 7 * np.arange(1500), "key": rng.integers(0, 90, 1500),
+        "y": rng.normal(size=1500),
+    }).sample(frac=1.0, random_state=3)
+    _assert_same(_numpy_train(table, method, 80), _spark_train(spark, table, method, 80, 3))
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_null_string_train_keys_spark_equals_numpy(spark, method):
+    """NULL keys get one selector on both engines. (Whether NULL keys
+    should be dropped before sketching is a separate question.)"""
+    rng = np.random.default_rng(29)
+    keys = np.array([None if rng.random() < 0.2 else f"k{rng.integers(0, 12)}"
+                     for _ in range(120)], dtype=object)
+    table = pd.DataFrame({"rid": np.arange(120), "key": keys, "y": rng.normal(size=120)})
+    _assert_same(
+        METHODS[method][0](keys, table["y"].to_numpy(), 64),
+        pipeline.spark_train_sketch(spark.createDataFrame(table), n=64, method=method),
+    )
+
+
+#: Two int64 keys with one 32-bit h(k) (found among 300k random int64 keys).
+COLLIDING = (2234804754311803321, 365261526549838661)
+
+
+def _tie_coord(method: str, side: str, kh: np.ndarray) -> np.ndarray | None:
+    """The coordinate a single-row key is selected by (None: not by key)."""
+    if method == "indsk":
+        return None if side == "train" else indsk.salted_u01(kh, indsk.SALT_CAND)
+    if method == "tupsk":
+        return hashing.tuple_u01(kh, np.ones_like(kh))
+    return hashing.u01(kh)  # KMV; PRISK's priority 1 / u orders the same way
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("side", ["train", "cand"])
+@pytest.mark.parametrize("method", list(METHODS))
+def test_colliding_keys_at_the_nth_slot_go_to_the_first_rid(spark, method, side, first):
+    """Two keys with one h(k) tie for the n-th slot: both engines keep the
+    key whose first row comes first."""
+    assert hashing.hash_keys(np.array(COLLIDING))[0] == hashing.hash_keys(np.array(COLLIDING))[1]
+    rng = np.random.default_rng(30)
+    fillers = np.unique(rng.integers(0, 2**62, 300))
+    winner, loser = COLLIDING[first], COLLIDING[1 - first]
+    keys = np.insert(fillers, [40, 200], [winner, loser])  # winner's row comes first
+    vals = np.arange(len(keys), dtype=float)
+    coord = _tie_coord(method, side, hashing.hash_keys(keys))
+    pair_coord = None if coord is None else coord[40]
+    n = 64 if coord is None else int((coord < pair_coord).sum()) + 1
+    table = pd.DataFrame({"rid": np.arange(len(keys)), "key": keys, "y": vals, "x": vals})
+    if side == "train":
+        expected = METHODS[method][0](keys, vals, n)
+        got = _spark_train(spark, table, method, n, 3)
+    else:
+        expected = METHODS[method][1](keys, vals, n, "avg")
+        got = _spark_cand(spark, table, method, n, 3)
+    _assert_same(expected, got)
+    if coord is not None:
+        assert 40.0 in expected.values and 201.0 not in expected.values
+
+
+@pytest.mark.parametrize("method", ["lv2sk", "prisk"])
+def test_colliding_keys_tie_on_the_first_rid_when_first_rows_are_not_kept(spark, method):
+    """Each colliding key has two rows and level 2 keeps one, its j = 2 row.
+    The loser's kept row comes before the winner's, but the winner's first
+    row comes first: the tie for the n-th key still goes to the winner."""
+    h = hashing.hash_keys(np.array(COLLIDING[:1]))
+    u = hashing.u01(h)[0]
+    assert hashing.tuple_u01(h, np.array([2]))[0] < hashing.tuple_u01(h, np.array([1]))[0]
+    rng = np.random.default_rng(31)
+    fillers = np.unique(rng.integers(0, 2**62, 300))
+    winner, loser = COLLIDING
+    keys = np.insert(fillers, [40, 200, 208, 247], [winner, loser, loser, winner])
+    vals = np.arange(len(keys), dtype=float)  # the winner's rows hold 40 and 250
+    u_fill = hashing.u01(hashing.hash_keys(fillers))
+    # Level 1 ranks keys by h_u(h(k)), or by N_k / h_u(h(k)) with N_k = 2 for the pair.
+    n = int((u_fill < (u if method == "lv2sk" else u / 2)).sum()) + 1
+    assert n * 2 < len(keys)  # a cap of one row per key
+    table = pd.DataFrame({"rid": np.arange(len(keys)), "key": keys, "y": vals})
+    expected = METHODS[method][0](keys, vals, n)
+    _assert_same(expected, _spark_train(spark, table, method, n, 3))
+    assert 250.0 in expected.values and 210.0 not in expected.values

@@ -1,9 +1,10 @@
 """Pinned physical-plan shape of the Spark sketch builders.
 
-Each builder's final DataFrame (the selection it collects) is planned,
-and its shuffles (``Exchange``), Python round trips
-(``ArrowEvalPython``), windows and sort-merge joins are counted. A
-change that adds one fails here; one that removes one updates the pin.
+Each builder's final DataFrame (the pass whose rows it collects) is
+planned, and its shuffles (``Exchange``), Python round trips
+(``ArrowEvalPython``, ``MapInPandas``), windows and sort-merge joins are
+counted. A change that adds one fails here; one that removes one
+updates the pin.
 """
 from collections import Counter
 
@@ -13,22 +14,22 @@ import pytest
 from repro.core import pipeline
 from repro.synthgen import cdunif, decompose
 
-NODES = ("Exchange", "ArrowEvalPython", "Window", "SortMergeJoin")
+NODES = ("Exchange", "ArrowEvalPython", "Window", "SortMergeJoin", "MapInPandas")
 
-#: (Exchange, ArrowEvalPython, Window, SortMergeJoin) per method and side.
-#: LV2SK / PRISK also run one level-1 job before the final selection: it
-#: selects from the same prepared side.
+#: (Exchange, ArrowEvalPython, Window, SortMergeJoin, MapInPandas) per
+#: method and side: one shuffle by key and one Python pass, and INDSK's
+#: train side, a row sample, needs no shuffle.
 PINNED = {
-    ("train", "tupsk"): (1, 1, 1, 0),
-    ("train", "lv2sk"): (2, 1, 2, 0),
-    ("train", "prisk"): (2, 1, 2, 0),
-    ("train", "indsk"): (0, 1, 0, 0),
-    ("train", "csk"): (1, 1, 1, 0),
-    ("cand", "tupsk"): (1, 1, 0, 0),
-    ("cand", "lv2sk"): (1, 1, 0, 0),
-    ("cand", "prisk"): (1, 1, 0, 0),
-    ("cand", "indsk"): (1, 1, 0, 0),
-    ("cand", "csk"): (1, 1, 0, 0),
+    ("train", "tupsk"): (1, 0, 0, 0, 1),
+    ("train", "lv2sk"): (1, 0, 0, 0, 1),
+    ("train", "prisk"): (1, 0, 0, 0, 1),
+    ("train", "indsk"): (0, 0, 0, 0, 1),
+    ("train", "csk"): (1, 0, 0, 0, 1),
+    ("cand", "tupsk"): (1, 0, 0, 0, 1),
+    ("cand", "lv2sk"): (1, 0, 0, 0, 1),
+    ("cand", "prisk"): (1, 0, 0, 0, 1),
+    ("cand", "indsk"): (1, 0, 0, 0, 1),
+    ("cand", "csk"): (1, 0, 0, 0, 1),
 }
 
 
@@ -57,9 +58,9 @@ def pair_dfs(spark):
 @pytest.mark.parametrize("side, method", sorted(PINNED))
 def test_builder_plan_shape_is_pinned(pair_dfs, side, method):
     train, cand = pair_dfs
-    cols = dict(key_col="key", rid_col="rid")
+    cols = dict(key_col="key", rid_col="rid", parts=4)
     if side == "train":
-        df = pipeline.train_selection(train, n=64, method=method, val_col="y", **cols)
+        df = pipeline._train_pass(train, n=64, method=method, val_col="y", **cols)
     else:
-        df = pipeline.cand_selection(cand, n=64, method=method, agg="avg", val_col="x", **cols)
+        df = pipeline._cand_pass(cand, n=64, method=method, agg="avg", val_col="x", **cols)
     assert plan_nodes(df) == PINNED[(side, method)]

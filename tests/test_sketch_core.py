@@ -195,6 +195,39 @@ def test_join_sketches_matches_bruteforce():
     assert sorted(map(tuple, zip(y, x))) == sorted(expected)
 
 
+def _merge_join(train, cand):
+    """Reference: a pandas merge on h(k) that keeps the first cand entry per hash."""
+    t = pd.DataFrame({"kh": train.key_hash.astype(np.int64), "y": train.values})
+    c = pd.DataFrame({"kh": cand.key_hash.astype(np.int64), "x": cand.values})
+    c = c.drop_duplicates("kh", keep="first")
+    j = t.merge(c, on="kh", how="inner", sort=True)
+    return j["y"].to_numpy(), j["x"].to_numpy()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_join_sketches_equals_pandas_merge(seed):
+    """Same (y, x) arrays, in the same order, as the merge on random sketches."""
+    rng = np.random.default_rng(seed)
+    hashes = rng.integers(0, 2**32, 400, dtype=np.uint64).astype(np.uint32)
+    t_kh = rng.choice(hashes, int(rng.integers(0, 300)))
+    c_kh = rng.choice(hashes, int(rng.integers(0, 300)), replace=bool(seed % 2))
+    train = Sketch(t_kh, rng.normal(size=len(t_kh)))
+    cand = Sketch(c_kh, rng.integers(0, 9, len(c_kh)))
+    for got, want in zip(join_sketches(train, cand), _merge_join(train, cand)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_join_sketches_keeps_first_cand_entry_on_a_hash_collision():
+    train = Sketch(np.array([5, 7, 7, 9, 2**32 - 1], np.uint32), np.arange(1.0, 6.0))
+    cand = Sketch(np.array([7, 9, 7, 2**32 - 1, 9], np.uint32), np.array(list("abcde"), object))
+    y, x = join_sketches(train, cand)
+    want_y, want_x = _merge_join(train, cand)
+    np.testing.assert_array_equal(y, want_y)
+    np.testing.assert_array_equal(x, want_x)
+    assert x.tolist() == ["a", "a", "b", "d"]
+
+
 def test_sketch_validates_alignment():
     with pytest.raises(ValueError):
         Sketch(np.arange(3, dtype=np.uint32), np.arange(2))
