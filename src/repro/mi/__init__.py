@@ -3,7 +3,7 @@
 See paper Section II (estimators) and Section V-A (analytic MI of the
 synthetic benchmark distributions).
 """
-from .knn import mi_dc_ksg, mi_ksg, mi_mixed_ksg
+from .knn import mi_dc_ksg, mi_mixed_ksg
 from .mle import entropy_mle, mi_mle
 from .select import ESTIMATORS, choose_estimator_name, estimate_mi
 from .special import digamma, gammaln
@@ -18,7 +18,6 @@ from .true_mi import (
 
 __all__ = [
     "mi_dc_ksg",
-    "mi_ksg",
     "mi_mixed_ksg",
     "entropy_mle",
     "mi_mle",

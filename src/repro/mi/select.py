@@ -11,12 +11,11 @@ from typing import Callable
 
 import numpy as np
 
-from .knn import mi_dc_ksg, mi_ksg, mi_mixed_ksg
+from .knn import mi_dc_ksg, mi_mixed_ksg
 from .mle import mi_mle
 
 ESTIMATORS: dict[str, Callable] = {
     "mle": mi_mle,
-    "ksg": mi_ksg,
     "mixed_ksg": mi_mixed_ksg,
     "dc_ksg": mi_dc_ksg,
 }

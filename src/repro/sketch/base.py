@@ -103,7 +103,7 @@ def aggregate_cand(keys: np.ndarray, values: np.ndarray, agg: str) -> pd.DataFra
             {"key": uniques, "value": values[rows[np.unique(codes[rows], return_index=True)[1]]]}
         )
     g = pd.DataFrame({"key": keys, "value": values}).groupby("key", sort=False)["value"]
-    out = g.mean() if agg == "avg" else g.size()
+    out = g.mean() if agg == "avg" else g.count()  # SQL COUNT(x): NULL/NaN values skipped
     return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})
 
 

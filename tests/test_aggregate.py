@@ -26,6 +26,32 @@ def test_example2_count():
     assert _as_map(aggregate_cand(KZ, Z, "count")) == {"a": 1, "b": 3, "c": 3}
 
 
+def test_count_skips_nan_values():
+    got = aggregate_cand(np.array([1, 1, 2]), np.array([1.0, np.nan, np.nan]), "count")
+    assert _as_map(got) == {1: 1, 2: 0}
+
+
+@pytest.mark.parametrize("kind", ["float", "string"])
+def test_count_matches_duckdb_count(kind):
+    """``count`` is SQL ``COUNT(x)``: NULL and NaN values are not counted."""
+    import duckdb
+
+    rng = np.random.default_rng(12)
+    keys = rng.integers(0, 40, 600)
+    missing = rng.random(600) < 0.3
+    if kind == "float":
+        values = np.where(missing, np.nan, rng.normal(size=600))
+    else:
+        values = np.array([None if m else f"v{i % 7}" for i, m in enumerate(missing)], object)
+    cand = pd.DataFrame({"key": keys, "x": values})
+    con = duckdb.connect()
+    try:
+        want = con.execute("SELECT key, COUNT(x) AS n FROM cand GROUP BY key").fetchdf()
+    finally:
+        con.close()
+    assert _as_map(aggregate_cand(keys, values, "count")) == dict(zip(want["key"], want["n"]))
+
+
 def test_example2_first():
     assert _as_map(aggregate_cand(KZ, Z, "first")) == {"a": 1.0, "b": 2.0, "c": 0.0}
 

@@ -1,10 +1,15 @@
-"""Tests for the k-NN MI estimators (KSG, MixedKSG, DC-KSG)."""
+"""Tests for the k-NN MI estimators (MixedKSG, DC-KSG).
+
+The ``test_ksg_*`` tests hold the KSG properties (closed form,
+symmetry, affine invariance, small samples) for MixedKSG, the KSG-family
+estimator numeric pairs are routed to.
+"""
 import math
 
 import numpy as np
 import pytest
 
-from repro.mi import mi_dc_ksg, mi_ksg, mi_mixed_ksg, mi_mle
+from repro.mi import mi_dc_ksg, mi_mixed_ksg, mi_mle
 from repro.mi.true_mi import cdunif_true_mi, mi_bivariate_normal
 
 
@@ -17,26 +22,28 @@ def _gaussian_pair(r, n, seed=0):
 @pytest.mark.parametrize("r", [0.0, 0.5, 0.8, 0.95])
 def test_ksg_gaussian_closed_form(r):
     x, y = _gaussian_pair(r, 4000, seed=int(r * 100))
-    assert mi_ksg(x, y) == pytest.approx(mi_bivariate_normal(r), abs=0.08)
+    assert mi_mixed_ksg(x, y) == pytest.approx(mi_bivariate_normal(r), abs=0.08)
 
 
 def test_ksg_independent_near_zero():
     x, y = _gaussian_pair(0.0, 3000, seed=9)
-    assert mi_ksg(x, y) < 0.05
+    assert mi_mixed_ksg(x, y) < 0.05
 
 
 def test_ksg_symmetric():
     x, y = _gaussian_pair(0.7, 800, seed=1)
-    assert mi_ksg(x, y) == pytest.approx(mi_ksg(y, x), abs=1e-10)
+    assert mi_mixed_ksg(x, y) == pytest.approx(mi_mixed_ksg(y, x), abs=1e-10)
 
 
 def test_ksg_affine_invariant():
     x, y = _gaussian_pair(0.7, 1500, seed=2)
-    assert mi_ksg(3.0 * x + 10.0, -2.0 * y + 5.0) == pytest.approx(mi_ksg(x, y), abs=0.05)
+    assert mi_mixed_ksg(3.0 * x + 10.0, -2.0 * y + 5.0) == pytest.approx(
+        mi_mixed_ksg(x, y), abs=0.05
+    )
 
 
 def test_ksg_small_sample_returns_zero():
-    assert mi_ksg(np.arange(3.0), np.arange(3.0)) == 0.0
+    assert mi_mixed_ksg(np.arange(3.0), np.arange(3.0)) == 0.0
 
 
 @pytest.mark.parametrize("m", [4, 8, 32])
@@ -104,15 +111,29 @@ def test_dc_ksg_singleton_classes_excluded():
 def test_estimators_nonnegative():
     rng = np.random.default_rng(8)
     x, y = rng.normal(size=500), rng.normal(size=500)
-    assert mi_ksg(x, y) >= 0.0
     assert mi_mixed_ksg(x, y) >= 0.0
     assert mi_dc_ksg(rng.integers(0, 3, 500), y) >= 0.0
 
 
 def test_length_mismatch_raises():
     with pytest.raises(ValueError):
-        mi_ksg(np.arange(5.0), np.arange(6.0))
-    with pytest.raises(ValueError):
         mi_mixed_ksg(np.arange(5.0), np.arange(6.0))
     with pytest.raises(ValueError):
         mi_dc_ksg(np.arange(5), np.arange(6.0))
+
+
+@pytest.mark.parametrize("where", ["x", "y"])
+def test_mixed_ksg_rejects_nan_before_the_search(where):
+    rng = np.random.default_rng(10)
+    x, y = rng.normal(size=200), rng.normal(size=200)
+    (x if where == "x" else y)[17] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        mi_mixed_ksg(x, y)
+
+
+def test_dc_ksg_rejects_nan_in_the_continuous_variable():
+    rng = np.random.default_rng(11)
+    y = rng.normal(size=200)
+    y[3] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        mi_dc_ksg(rng.integers(0, 3, 200), y)

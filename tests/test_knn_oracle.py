@@ -1,0 +1,156 @@
+"""The k-NN searches of MixedKSG and DC-KSG against all-pairs oracles.
+
+``_joint_knn`` and ``_class_knn`` must return the same bits as an
+all-pairs search: the same rho and duplicate counts, in input order, so
+the estimates built on them are bit-identical too. The oracles below
+compute every pairwise distance in float64 blocks.
+"""
+from unittest import mock
+
+import numpy as np
+import pandas as pd
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from repro.mi import knn
+
+_CHUNK = 256
+
+
+def _brute_joint_knn(x, y, k):
+    n = len(x)
+    rho = np.empty(n)
+    zeros = np.empty(n, dtype=np.int64)
+    for s in range(0, n, _CHUNK):
+        e = min(s + _CHUNK, n)
+        d = np.abs(x[s:e, None] - x[None, :])
+        np.maximum(d, np.abs(y[s:e, None] - y[None, :]), out=d)
+        rows = np.arange(s, e)
+        d[rows - s, rows] = np.inf  # exclude self
+        zeros[s:e] = (d == 0.0).sum(axis=1)
+        rho[s:e] = np.partition(d, k - 1, axis=1)[:, k - 1]
+    return rho, zeros
+
+
+def _brute_class_knn(codes, y, k):
+    radius = np.zeros(len(y))
+    for c in np.nonzero(np.bincount(codes) > 1)[0]:
+        members = np.nonzero(codes == c)[0]
+        yc = y[members]
+        kc = int(min(k, len(yc) - 1))
+        for s in range(0, len(yc), _CHUNK):
+            e = min(s + _CHUNK, len(yc))
+            d = np.abs(yc[s:e, None] - yc[None, :])
+            d[np.arange(e - s), np.arange(s, e)] = np.inf
+            radius[members[s:e]] = np.partition(d, kc - 1, axis=1)[:, kc - 1]
+    return radius
+
+
+def _outcome(estimator, *args):
+    """The estimate's bytes, or the error it raised: a radius below half
+    an ulp of its value can make a marginal count 0, and digamma reject
+    it, whichever search found the radius."""
+    try:
+        return np.float64(estimator(*args)).tobytes()
+    except ValueError as err:
+        return str(err)
+
+
+def _assert_joint_matches(x, y, k):
+    rho, zeros = knn._joint_knn(x, y, k)
+    want_rho, want_zeros = _brute_joint_knn(x, y, k)
+    assert rho.tobytes() == want_rho.tobytes()
+    assert zeros.tobytes() == want_zeros.tobytes()
+    got = _outcome(knn.mi_mixed_ksg, x, y, k)
+    with mock.patch.object(knn, "_joint_knn", _brute_joint_knn):
+        assert got == _outcome(knn.mi_mixed_ksg, x, y, k)
+
+
+def _assert_class_matches(codes, y, k):
+    assert knn._class_knn(codes, y, k).tobytes() == _brute_class_knn(codes, y, k).tobytes()
+    got = _outcome(knn.mi_dc_ksg, codes, y, k)
+    with mock.patch.object(knn, "_class_knn", _brute_class_knn):
+        assert got == _outcome(knn.mi_dc_ksg, codes, y, k)
+
+
+# Values whose differences tie, or miss a tie by one ulp, under rounding.
+_EDGE = [0.0, 0.1, 0.2, 0.3, 0.1 + 0.2, np.nextafter(0.3, 0.0), np.nextafter(0.3, 1.0), 0.7, 1.0,
+         np.nextafter(1.0, 2.0)]
+_SIGNED_ZERO = [-0.0, 0.0, 5e-324, -5e-324, 1.0]
+
+
+def _column(draw, kind, n, rng):
+    if kind == "continuous":
+        return draw(hnp.arrays(np.float64, n, elements=st.floats(-1e6, 1e6)))
+    if kind == "grid":
+        return rng.integers(-3, 4, n).astype(np.float64)
+    if kind == "cdunif":
+        return rng.integers(0, 5, n) + rng.uniform(0.0, 2.0, n) * (rng.random(n) < 0.5)
+    if kind == "equal":
+        return np.full(n, 2.5)
+    if kind == "ulp_edge":
+        return rng.choice(_EDGE, n)
+    if kind == "huge":  # spacing 0.125 near 1e15
+        return 1e15 + rng.integers(-40, 40, n) * 0.125 + rng.choice([0.0, 1e3, -2e15], n)
+    return rng.choice(_SIGNED_ZERO, n)
+
+
+_KINDS = ["continuous", "grid", "cdunif", "equal", "ulp_edge", "huge", "signed_zero"]
+
+
+@st.composite
+def _samples(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(k + 1, k + 3), st.integers(k + 1, 300)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = _column(draw, draw(st.sampled_from(_KINDS)), n, rng)
+    y = _column(draw, draw(st.sampled_from(_KINDS)), n, rng)
+    return x, y, k
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_samples())
+def test_joint_knn_equals_all_pairs(sample):
+    _assert_joint_matches(*sample)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_samples(), st.integers(1, 12))
+def test_class_knn_equals_all_pairs(sample, n_classes):
+    x, y, k = sample
+    codes = pd.factorize(np.floor(np.abs(x)) % n_classes)[0]
+    _assert_class_matches(codes, y, k)
+
+
+def _fixed(kind, n=5000):
+    rng = np.random.default_rng(2024)
+    if kind == "gaussian":
+        return rng.normal(size=n), rng.normal(size=n)
+    if kind == "correlated_gaussian":
+        z = rng.normal(size=n)
+        return z, 0.9 * z + np.sqrt(1 - 0.81) * rng.normal(size=n)
+    if kind == "tied_grid":
+        return rng.integers(0, 5, n).astype(np.float64), rng.integers(0, 7, n).astype(np.float64)
+    x = rng.integers(0, 16, n).astype(np.float64)  # CDUnif, m = 16
+    return x, x + rng.uniform(0.0, 2.0, n)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "correlated_gaussian", "tied_grid", "cdunif"])
+def test_fixed_5k_inputs_equal_all_pairs(kind):
+    x, y = _fixed(kind)
+    _assert_joint_matches(x, y, 3)
+    _assert_class_matches(pd.factorize(np.floor(x * 4))[0], y, 3)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_neighbour_rounded_onto_the_bound_is_a_candidate(swap):
+    # fl(2**-60 - (-1.0)) == 1.0 == ub of the first point, set by the
+    # duplicated neighbour, yet fl(-1.0 + 1.0) == 0.0 < 2**-60: only a box
+    # widened by one step past ub keeps that neighbour.
+    a = np.zeros(3)
+    b = np.array([-1.0, 2.0**-60, 2.0**-60])
+    x, y = (b, a) if swap else (a, b)
+    assert knn._joint_knn(x, y, 1)[0][0] == 1.0
+    _assert_joint_matches(x, y, 1)

@@ -5,7 +5,7 @@ import pytest
 
 from repro import hashing
 from repro.core import pipeline
-from repro.sketch import METHODS, SELECTORS, Train, build_pair, indsk
+from repro.sketch import METHODS, SELECTORS, Train, build_pair, cand_agg, indsk
 from repro.synthgen import cdunif, decompose
 
 
@@ -58,6 +58,23 @@ def test_cand_sketch_spark_equals_numpy(spark, keydep_pair, method, agg):
         spark.createDataFrame(pair.cand), n=48, method=method, agg=agg, val_col="x"
     )
     _assert_same(expected, got)
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+def test_cand_count_skips_nan_values_spark_equals_numpy(spark, keydep_pair, method):
+    cand = keydep_pair.cand.loc[keydep_pair.cand.index.repeat(3)].reset_index(drop=True)
+    x = cand["x"].to_numpy(np.float64)
+    x[np.random.default_rng(23).random(len(x)) < 0.4] = np.nan
+    cand["x"] = x
+    keys = cand["key"].to_numpy()
+    expected = METHODS[method][1](keys, x, 48, "count")
+    got = pipeline.spark_cand_sketch(
+        spark.createDataFrame(cand), n=48, method=method, agg="count", val_col="x"
+    )
+    _assert_same(expected, got)
+    if cand_agg(method, "count") == "count":  # CSK's cand side is FIRST
+        n_x = pd.Series(~np.isnan(x)).groupby(hashing.hash_keys(keys)).sum()
+        np.testing.assert_array_equal(got.values, n_x.loc[got.key_hash].to_numpy())
 
 
 @pytest.mark.parametrize("method", list(METHODS))
