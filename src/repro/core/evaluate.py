@@ -8,7 +8,7 @@ This is the function the cogrouped sweep harness runs for each
 * each sketch method builds its (S_train, S_cand) pair at capacity n,
   joins the sketches, and feeds the recovered sample to the same
   estimator;
-* estimates on fewer than ``min_sample`` joined rows are reported as
+* estimates on fewer than ``MIN_SAMPLE`` joined rows are reported as
   NaN (the paper discards sketch joins of size <= 100 in Table II).
 
 Estimator specs are ``(name, jitter)`` pairs; ``jitter='y'`` adds tiny
@@ -24,23 +24,22 @@ from repro.mi import estimate_mi
 from repro.sketch import SELECTORS, Cand, Train, aggregate_cand, cand_agg, join_sketches
 
 _JITTER_SIGMA = 1e-3
+#: Estimates on fewer joined rows are reported as NaN.
+MIN_SAMPLE = 4
+
+#: One row per (method, estimator) of :func:`evaluate_pair`.
+RESULT_SCHEMA = (
+    "pair_id long, method string, estimator string, "
+    "join_size long, mi_sketch double, mi_full double, full_join_size long"
+)
 
 
-def _prepare(x: np.ndarray, y: np.ndarray, estimator: str, jitter: str, rng) -> tuple:
-    """Cast/perturb the sample per the estimator's type contract."""
-    if estimator == "mle":
-        return x, y
-    if estimator == "mixed_ksg":
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-    else:  # dc_ksg: keep the discrete side as-is, continuous side float
-        if np.asarray(y).dtype.kind in "fiu":
-            y = np.asarray(y, dtype=np.float64)
-        if np.asarray(x).dtype.kind in "fiu" and np.asarray(y).dtype.kind not in "fiu":
-            x = np.asarray(x, dtype=np.float64)
+def _jitter(y: np.ndarray, jitter: str, rng) -> np.ndarray:
+    """``jitter='y'`` adds tiny Gaussian noise to ``y``; the estimators
+    cast their own inputs, so nothing else is done to the sample."""
     if jitter == "y":
-        y = np.asarray(y, dtype=np.float64) + rng.normal(0.0, _JITTER_SIGMA, len(y))
-    return x, y
+        return np.asarray(y, dtype=np.float64) + rng.normal(0.0, _JITTER_SIGMA, len(y))
+    return y
 
 
 def full_join_pairs_pandas(
@@ -76,14 +75,10 @@ def evaluate_pair(
     estimators: tuple[tuple[str, str], ...],
     agg: str = "avg",
     compute_full: bool = True,
-    min_sample: int = 4,
 ) -> pd.DataFrame:
     """Evaluate one pair; returns rows per (method, estimator) plus a
     ``method='full'`` row per estimator when ``compute_full``."""
     rng = np.random.default_rng(1_000_003 * (pair_id + 1))
-    rows: list[dict] = []
-    full_cache: dict[tuple[str, str], float] = {}
-    full_size = 0
     # Each side is prepared once; every method selects from it, and the
     # full join reuses the candidate side's AGG.
     train_side = Train(train["key"].to_numpy(), train["y"].to_numpy())
@@ -91,46 +86,32 @@ def evaluate_pair(
         a: Cand(cand["key"].to_numpy(), cand["x"].to_numpy(), a)
         for a in {agg, *(cand_agg(m, agg) for m in methods)}
     }
+    samples = []  # (method, y, x): the full join first, then each sketch join
     if compute_full:
-        fy, fx = _join_aug(train, cand_sides[agg].keys, cand_sides[agg].values)
-        full_size = len(fy)
-        for est, jitter in estimators:
-            px, py = _prepare(fx, fy, est, jitter, rng)
-            full_cache[(est, jitter)] = (
-                estimate_mi(px, py, est) if full_size >= min_sample else np.nan
-            )
-            rows.append(
-                {
-                    "pair_id": pair_id,
-                    "method": "full",
-                    "estimator": f"{est}|{jitter}" if jitter != "none" else est,
-                    "join_size": full_size,
-                    "mi_sketch": np.nan,
-                    "mi_full": full_cache[(est, jitter)],
-                    "full_join_size": full_size,
-                }
-            )
+        samples.append(("full", *_join_aug(train, cand_sides[agg].keys, cand_sides[agg].values)))
     for method in methods:
         select_train, select_cand = SELECTORS[method]
         cand_side = cand_sides[cand_agg(method, agg)]
-        yv, xv = join_sketches(
+        samples.append((method, *join_sketches(
             train_side.sketch(select_train(train_side, n)),
             cand_side.sketch(select_cand(cand_side, n)),
-        )
+        )))
+    full_size = len(samples[0][1]) if compute_full else 0
+    mi_full: dict[tuple[str, str], float] = {}
+    rows: list[dict] = []
+    for method, yv, xv in samples:
         for est, jitter in estimators:
-            if len(yv) >= min_sample:
-                px, py = _prepare(xv, yv, est, jitter, rng)
-                mi_sketch = estimate_mi(px, py, est)
-            else:
-                mi_sketch = np.nan
+            mi = estimate_mi(xv, _jitter(yv, jitter, rng), est) if len(yv) >= MIN_SAMPLE else np.nan
+            if method == "full":
+                mi_full[(est, jitter)] = mi
             rows.append(
                 {
                     "pair_id": pair_id,
                     "method": method,
                     "estimator": f"{est}|{jitter}" if jitter != "none" else est,
                     "join_size": len(yv),
-                    "mi_sketch": mi_sketch,
-                    "mi_full": full_cache.get((est, jitter), np.nan),
+                    "mi_sketch": np.nan if method == "full" else mi,
+                    "mi_full": mi_full.get((est, jitter), np.nan),
                     "full_join_size": full_size,
                 }
             )

@@ -29,57 +29,39 @@ from pyspark.sql import functions as F
 from repro.sketch.base import AGG_FUNCTIONS
 
 
-def featurize(
-    cand_df: DataFrame,
-    key_col: str = "key",
-    val_col: str = "x",
-    agg: str = "avg",
-    rid_col: str = "rid",
-) -> DataFrame:
-    """T_cand[K_Z, Z] -> T_aug[key, x]: one AGG(Z) value per key."""
+def featurize(cand_df: DataFrame, agg: str = "avg") -> DataFrame:
+    """T_cand[rid, key, x] -> T_aug[key, x]: one AGG(x) value per key."""
     if agg not in AGG_FUNCTIONS:
         raise ValueError(f"unknown AGG {agg!r}; choose from {AGG_FUNCTIONS}")
     if agg == "avg":
-        out = cand_df.groupBy(key_col).agg(F.avg(val_col).alias(val_col))
+        out = cand_df.groupBy("key").agg(F.avg("x").alias("x"))
     elif agg == "count":
-        out = cand_df.groupBy(key_col).agg(F.count(val_col).alias(val_col))
+        out = cand_df.groupBy("key").agg(F.count("x").alias("x"))
     elif agg == "first":
-        out = cand_df.groupBy(key_col).agg(
-            F.min_by(val_col, F.col(rid_col)).alias(val_col)
-        )
+        out = cand_df.groupBy("key").agg(F.min_by("x", F.col("rid")).alias("x"))
     else:  # mode, ties broken by earliest first appearance
-        per_value = cand_df.groupBy(key_col, val_col).agg(
-            F.count(F.lit(1)).alias("_cnt"), F.min(rid_col).alias("_first_rid")
+        per_value = cand_df.groupBy("key", "x").agg(
+            F.count(F.lit(1)).alias("_cnt"), F.min("rid").alias("_first_rid")
         )
-        w = Window.partitionBy(key_col).orderBy(
-            F.col("_cnt").desc(), F.col("_first_rid").asc()
-        )
+        w = Window.partitionBy("key").orderBy(F.col("_cnt").desc(), F.col("_first_rid").asc())
         out = (
             per_value.withColumn("_rank", F.row_number().over(w))
             .where(F.col("_rank") == 1)
-            .select(key_col, val_col)
+            .select("key", "x")
         )
     return out
 
 
 def augment(
-    train_df: DataFrame,
-    cand_df: DataFrame,
-    *,
-    key_col: str = "key",
-    y_col: str = "y",
-    x_col: str = "x",
-    agg: str = "avg",
-    rid_col: str = "rid",
-    drop_nulls: bool = True,
+    train_df: DataFrame, cand_df: DataFrame, *, agg: str = "avg", drop_nulls: bool = True
 ) -> DataFrame:
-    """Left-join T_train with the featurized T_aug (paper Section III-B).
+    """Left-join T_train[key, y] with the featurized T_aug (paper Section
+    III-B).
 
     Returns a DataFrame [key, y, x]; with ``drop_nulls`` (the paper's
     protocol) rows whose key has no match in T_cand are removed.
     """
-    aug = featurize(cand_df, key_col=key_col, val_col=x_col, agg=agg, rid_col=rid_col)
-    joined = train_df.select(key_col, y_col).join(aug, on=key_col, how="left")
+    joined = train_df.select("key", "y").join(featurize(cand_df, agg), on="key", how="left")
     if drop_nulls:
-        joined = joined.where(F.col(x_col).isNotNull())
+        joined = joined.where(F.col("x").isNotNull())
     return joined

@@ -31,12 +31,10 @@ from repro.sketch import SELECTORS, Cand, Sketch, Train, aggregate_cand, cand_ag
 _COUNTS = [T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p")]
 
 
-def _side(df: DataFrame, method: str, key_col: str, val_col: str, rid_col: str) -> DataFrame:
+def _selectors(method: str):
     if method not in SELECTORS:
         raise ValueError(f"unknown sketch method {method!r}")
-    return df.select(
-        F.col(rid_col).alias("rid"), F.col(key_col).alias("key"), F.col(val_col).alias("val")
-    )
+    return SELECTORS[method]
 
 
 def _sorted(batches) -> pd.DataFrame:
@@ -46,14 +44,12 @@ def _sorted(batches) -> pd.DataFrame:
     return pd.concat(frames, ignore_index=True).sort_values("rid", kind="stable", ignore_index=True)
 
 
-def _train_pass(
-    df: DataFrame, *, n: int, method: str, key_col: str, val_col: str, rid_col: str, parts: int
-) -> DataFrame:
+def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
     """The rows each key-partition's train selector keeps, with the
     first row of each of their keys, ``j``, ``n_k`` and, on a
     partition's first row (0 on the rest), its row count ``n_p``."""
-    rows = _side(df, method, key_col, val_col, rid_col)
-    select = SELECTORS[method][0]
+    select = _selectors(method)[0]
+    rows = df.select("rid", "key", "y")
     if method != "indsk":  # INDSK reads neither j nor N_k
         rows = rows.repartition(parts, "key")
 
@@ -61,7 +57,7 @@ def _train_pass(
         pdf = _sorted(batches)
         if pdf.empty:
             return
-        train = Train(pdf["key"].to_numpy(), pdf["val"].to_numpy(), pdf["rid"].to_numpy())
+        train = Train(pdf["key"].to_numpy(), pdf["y"].to_numpy(), pdf["rid"].to_numpy())
         picked = select(train, n)
         keep = np.union1d(picked, train.first[train.codes[picked]])
         n_p = np.zeros(len(keep), np.int64)
@@ -73,31 +69,28 @@ def _train_pass(
     return rows.mapInPandas(local, T.StructType(rows.schema.fields + _COUNTS))
 
 
-def _cand_pass(
-    df: DataFrame, *, n: int, method: str, agg: str, key_col: str, val_col: str, rid_col: str,
-    parts: int,
-) -> DataFrame:
+def _cand_pass(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> DataFrame:
     """The keys each key-partition's cand selector keeps, with their AGG
     value and the ``rid`` of their first row."""
-    rows = _side(df, method, key_col, val_col, rid_col).repartition(parts, "key")
-    select = SELECTORS[method][1]
+    select = _selectors(method)[1]
+    rows = df.select("rid", "key", "x").repartition(parts, "key")
     agg = cand_agg(method, agg)
-    val_type = {"avg": T.DoubleType(), "count": T.LongType()}.get(agg, rows.schema["val"].dataType)
+    val_type = {"avg": T.DoubleType(), "count": T.LongType()}.get(agg, rows.schema["x"].dataType)
 
     def local(batches):
         pdf = _sorted(batches)
         if pdf.empty:
             return
         keys = pdf["key"].to_numpy()
-        cand = Cand(keys, pdf["val"].to_numpy(), agg)
+        cand = Cand(keys, pdf["x"].to_numpy(), agg)
         first_rid = aggregate_cand(keys, pdf["rid"].to_numpy(), "first")["value"].to_numpy()
         picked = select(cand, n)
         yield pd.DataFrame(
-            {"rid": first_rid[picked], "key": cand.keys[picked], "val": cand.values[picked]}
+            {"rid": first_rid[picked], "key": cand.keys[picked], "x": cand.values[picked]}
         )
 
     return rows.mapInPandas(
-        local, T.StructType([*rows.schema.fields[:2], T.StructField("val", val_type)])
+        local, T.StructType([*rows.schema.fields[:2], T.StructField("x", val_type)])
     )
 
 
@@ -105,38 +98,31 @@ def _union(pass_df: DataFrame) -> pd.DataFrame:
     return pass_df.toPandas().sort_values("rid", kind="stable", ignore_index=True)
 
 
-def _train_sketch(df: DataFrame, *, n: int, method: str, parts: int, **cols) -> Sketch:
-    u = _union(_train_pass(df, n=n, method=method, parts=parts, **cols))
+def _train_sketch(df: DataFrame, *, n: int, method: str, parts: int) -> Sketch:
+    u = _union(_train_pass(df, n=n, method=method, parts=parts))
     train = Train(
-        u["key"].to_numpy(), u["val"].to_numpy(), u["rid"].to_numpy(),
+        u["key"].to_numpy(), u["y"].to_numpy(), u["rid"].to_numpy(),
         j=u["j"].to_numpy(), n_k=u["n_k"].to_numpy(), N=int(u["n_p"].sum()),
     )
     return train.sketch(SELECTORS[method][0](train, n))
 
 
-def _cand_sketch(df: DataFrame, *, n: int, method: str, agg: str, parts: int, **cols) -> Sketch:
-    u = _union(_cand_pass(df, n=n, method=method, agg=agg, parts=parts, **cols))
+def _cand_sketch(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> Sketch:
+    u = _union(_cand_pass(df, n=n, method=method, agg=agg, parts=parts))
     # One row per key, already featurized: FIRST hands each value back as it is.
-    cand = Cand(u["key"].to_numpy(), u["val"].to_numpy(), "first")
+    cand = Cand(u["key"].to_numpy(), u["x"].to_numpy(), "first")
     return cand.sketch(SELECTORS[method][1](cand, n))
 
 
-def spark_train_sketch(
-    df: DataFrame, *, n: int, method: str, key_col: str = "key", val_col: str = "y",
-    rid_col: str = "rid",
-) -> Sketch:
-    """Build the train-side (left table) sketch in one pass over ``df``."""
+def spark_train_sketch(df: DataFrame, *, n: int, method: str) -> Sketch:
+    """Build the train-side (left table) sketch of ``df[rid, key, y]`` in
+    one pass."""
     parts = df.sparkSession.sparkContext.defaultParallelism
-    return _train_sketch(df, n=n, method=method, parts=parts,
-                         key_col=key_col, val_col=val_col, rid_col=rid_col)
+    return _train_sketch(df, n=n, method=method, parts=parts)
 
 
-def spark_cand_sketch(
-    df: DataFrame, *, n: int, method: str, agg: str = "avg", key_col: str = "key",
-    val_col: str = "x", rid_col: str = "rid",
-) -> Sketch:
-    """Build the candidate-side sketch in one pass over ``df``: featurize
-    each key with ``agg``, then select."""
+def spark_cand_sketch(df: DataFrame, *, n: int, method: str, agg: str = "avg") -> Sketch:
+    """Build the candidate-side sketch of ``df[rid, key, x]`` in one pass:
+    featurize each key with ``agg``, then select."""
     parts = df.sparkSession.sparkContext.defaultParallelism
-    return _cand_sketch(df, n=n, method=method, agg=agg, parts=parts,
-                        key_col=key_col, val_col=val_col, rid_col=rid_col)
+    return _cand_sketch(df, n=n, method=method, agg=agg, parts=parts)

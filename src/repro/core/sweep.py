@@ -11,7 +11,7 @@ concurrently.
 
 The per-pair function receives plain pandas DataFrames sorted by
 ``rid`` (restoring the stable row order that defines occurrence
-indices) and returns result rows conforming to the caller's schema.
+indices) and returns result rows of ``evaluate.RESULT_SCHEMA``.
 """
 from __future__ import annotations
 
@@ -20,11 +20,7 @@ from typing import Callable
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
-#: Result schema shared by the Table I / Table II evaluation jobs.
-RESULT_SCHEMA = (
-    "pair_id long, method string, estimator string, "
-    "join_size long, mi_sketch double, mi_full double, full_join_size long"
-)
+from repro.core.evaluate import RESULT_SCHEMA
 
 
 def run_pair_evaluations(

@@ -24,11 +24,12 @@ from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
 from repro.core.sweep import run_pair_evaluations
+from repro.sketch import SELECTORS
 from repro.synthgen import cdunif, decompose, trinomial
 
 N_ROWS = 10_000
 SKETCH_N = 256
-METHODS = ("csk", "indsk", "lv2sk", "prisk", "tupsk")
+METHODS = tuple(sorted(SELECTORS))
 TRINOMIAL_MS = (16, 64, 256, 512, 1024)
 #: (estimator, jitter) specs per dataset — paper Section V-A
 #: "Distribution Parameters": Trinomial is evaluated as discrete (MLE),

@@ -12,21 +12,21 @@ size, Spearman rank correlation with the full-join estimates, and MSE.
 """
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
 from repro.core.sweep import run_pair_evaluations
-from repro.mi import choose_estimator_name
+from repro.mi import route
 from repro.opendata import generate_collection, tall_frames
 from repro.opendata.typeinfer import cast_column
+from repro.sketch import SELECTORS
 
 SKETCH_N = 1024
 MIN_JOIN = 100  # paper: discard sketch joins of size <= 100
 #: Paper's Table II reports the two-level sketches and TUPSK; we run
 #: the full method set and report the extra baselines alongside.
-METHODS = ("csk", "indsk", "lv2sk", "prisk", "tupsk")
+METHODS = tuple(sorted(SELECTORS))
 N_PAIRS = 120
 
 
@@ -43,15 +43,10 @@ def run(
     train_tall, cand_tall = tall_frames(pairs)
 
     def _eval(pair_id: int, train: pd.DataFrame, cand: pd.DataFrame) -> pd.DataFrame:
-        # Type inference routes the estimator (Tablesaw stand-in).
+        # Type inference (Tablesaw stand-in) feeds the estimator and AGG route.
         train = train.assign(y=cast_column(train["y"]))
         cand = cand.assign(x=cast_column(cand["x"]))
-        x_num = np.asarray(cand["x"].to_numpy()).dtype.kind in "fiu"
-        y_num = np.asarray(train["y"].to_numpy()).dtype.kind in "fiu"
-        est = choose_estimator_name(x_num, y_num)
-        # Paper Section III-B: the featurization must fit the data type
-        # — AVG for ordered-continuous, MODE for unordered-discrete.
-        agg = "avg" if x_num else "mode"
+        est, agg = route(cand["x"].to_numpy(), train["y"].to_numpy())
         return evaluate_pair(
             pair_id, train, cand, n=n, methods=METHODS,
             estimators=((est, "none"),), agg=agg, compute_full=True,

@@ -5,7 +5,7 @@ synthetic benchmark distributions).
 """
 from .knn import mi_dc_ksg, mi_mixed_ksg
 from .mle import entropy_mle, mi_mle
-from .select import ESTIMATORS, choose_estimator_name, estimate_mi
+from .select import ESTIMATORS, choose_estimator_name, estimate_mi, route
 from .special import digamma, gammaln
 from .true_mi import (
     binomial_entropy,
@@ -24,6 +24,7 @@ __all__ = [
     "ESTIMATORS",
     "choose_estimator_name",
     "estimate_mi",
+    "route",
     "digamma",
     "gammaln",
     "binomial_entropy",

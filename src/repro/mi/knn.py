@@ -147,19 +147,18 @@ def _class_knn(codes: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
 
 
 def _marginal_count(a: np.ndarray, radius: np.ndarray, *, inclusive: bool) -> np.ndarray:
-    """#{j != i : |a_j - a_i| < radius_i}  (or <= when inclusive)."""
-    order = np.sort(a)
-    if inclusive:
-        hi = np.searchsorted(order, a + radius, side="right")
-        lo = np.searchsorted(order, a - radius, side="left")
-    else:
-        hi = np.searchsorted(order, a + radius, side="left")
-        lo = np.searchsorted(order, a - radius, side="right")
-    count = hi - lo
-    # Self is inside its own neighborhood whenever it qualifies
-    # (always for inclusive; for strict only when radius > 0).
-    self_in = np.ones_like(count) if inclusive else (radius > 0).astype(count.dtype)
-    return count - self_in
+    """#{j : |a_j - a_i| < radius_i} (or <= when inclusive), i itself
+    and its ties always counted: with radius 0 the strict ball is i's tie
+    set, and a radius below half an ulp of a_i, which rounds a_i ± radius
+    back to a_i, cannot drop them."""
+    s = np.sort(a)
+    if inclusive:  # a_i - radius <= a_i <= a_i + radius: the ties are in
+        hi = np.searchsorted(s, a + radius, side="right")
+        lo = np.searchsorted(s, a - radius, side="left")
+    else:  # widened to a_i's tie bounds
+        hi = np.maximum(np.searchsorted(s, a + radius, side="left"), np.searchsorted(s, a, "right"))
+        lo = np.minimum(np.searchsorted(s, a - radius, side="right"), np.searchsorted(s, a, "left"))
+    return hi - lo
 
 
 def mi_mixed_ksg(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
@@ -177,18 +176,13 @@ def mi_mixed_ksg(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:
     if n <= k:
         return 0.0
     rho, zeros = _joint_knn(x, y, k)
-    is_tie = rho == 0.0
     # Counting conventions follow Gao et al.'s reference implementation
     # (wgao9/mixed_KSG): counts include the point itself; at tied points
     # (rho == 0) the ball is the tie set, elsewhere it is the open ball
     # of radius rho; psi() replaces the paper's log(n+1).
-    k_tilde = np.where(is_tie, zeros + 1.0, float(k))
-    nx_strict = _marginal_count(x, rho, inclusive=False) + 1.0
-    ny_strict = _marginal_count(y, rho, inclusive=False) + 1.0
-    nx_tie = _marginal_count(x, np.zeros_like(rho), inclusive=True) + 1.0
-    ny_tie = _marginal_count(y, np.zeros_like(rho), inclusive=True) + 1.0
-    nx = np.where(is_tie, nx_tie, nx_strict)
-    ny = np.where(is_tie, ny_tie, ny_strict)
+    k_tilde = np.where(rho == 0.0, zeros + 1.0, float(k))
+    nx = _marginal_count(x, rho, inclusive=False)
+    ny = _marginal_count(y, rho, inclusive=False)
     est = np.mean(digamma(k_tilde) + np.log(n) - digamma(nx) - digamma(ny))
     return max(0.0, float(est))
 
@@ -218,7 +212,7 @@ def mi_dc_ksg(x_discrete: np.ndarray, y: np.ndarray, k: int = 3) -> float:
         return 0.0
     k_eff = np.minimum(k, n_xi - 1).astype(np.float64)
     radius = _class_knn(x_codes, y, k)
-    m = _marginal_count(y, radius, inclusive=True)
+    m = _marginal_count(y, radius, inclusive=True) - 1
     u = usable
     est = (
         digamma(n)

@@ -1,9 +1,11 @@
-"""Estimator routing by data type (paper Section V, "MI Estimators").
+"""Estimator and AGG routing by data type (paper Sections III-B and V).
 
 The paper picks the estimator from the inferred types of the two
 columns: string x string -> MLE; numeric x numeric -> MixedKSG (robust
 to the discrete-continuous *mixtures* that left joins on repeated keys
-create); string x numeric (either order) -> Ross's DC-KSG.
+create); string x numeric (either order) -> Ross's DC-KSG. The
+candidate column's type also picks its featurization: AVG for ordered
+(numeric) data, MODE for unordered data. :func:`route` is that rule.
 """
 from __future__ import annotations
 
@@ -21,8 +23,13 @@ ESTIMATORS: dict[str, Callable] = {
 }
 
 
+def is_numeric(values) -> bool:
+    """A column is numeric iff its dtype is float or (unsigned) int."""
+    return np.asarray(values).dtype.kind in "fiu"
+
+
 def choose_estimator_name(x_is_numeric: bool, y_is_numeric: bool) -> str:
-    """Paper's routing rule, on inferred column types."""
+    """Paper's estimator rule, on inferred column types."""
     if x_is_numeric and y_is_numeric:
         return "mixed_ksg"
     if not x_is_numeric and not y_is_numeric:
@@ -30,16 +37,19 @@ def choose_estimator_name(x_is_numeric: bool, y_is_numeric: bool) -> str:
     return "dc_ksg"
 
 
+def route(x, y) -> tuple[str, str]:
+    """``(estimator, agg)`` for candidate values ``x`` and target values
+    ``y``, each already cast to its inferred type."""
+    x_num = is_numeric(x)
+    return choose_estimator_name(x_num, is_numeric(y)), "avg" if x_num else "mode"
+
+
 def estimate_mi(x: np.ndarray, y: np.ndarray, estimator: str, k: int = 3) -> float:
-    """Dispatch to a named estimator; DC-KSG expects the discrete
-    variable first and the continuous one second."""
-    if estimator == "dc_ksg":
-        x_num = np.asarray(x).dtype.kind in "fiu"
-        y_num = np.asarray(y).dtype.kind in "fiu"
-        if x_num and not y_num:
-            return mi_dc_ksg(y, x, k=k)
-        return mi_dc_ksg(x, y, k=k)
+    """Dispatch to a named estimator, which casts its own inputs; DC-KSG
+    takes the discrete variable first and the continuous one second."""
     fn = ESTIMATORS[estimator]
     if estimator == "mle":
         return fn(x, y)
+    if estimator == "dc_ksg" and is_numeric(x) and not is_numeric(y):
+        x, y = y, x
     return fn(x, y, k=k)

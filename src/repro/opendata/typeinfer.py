@@ -2,9 +2,8 @@
 
 Stands in for the Tablesaw type-inference library the paper uses
 (Section V-C, footnote 2): open-data portals serve CSVs, so every
-column arrives as strings and must be routed to the right MI estimator
-— numeric x numeric -> MixedKSG, string x string -> MLE, mixed ->
-DC-KSG.
+column arrives as strings. The cast columns then pick the MI estimator
+and the AGG through ``repro.mi.route``.
 """
 from __future__ import annotations
 

@@ -3,7 +3,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.evaluate import _prepare, evaluate_pair, full_join_pairs_pandas
+from repro.core.evaluate import _jitter, evaluate_pair, full_join_pairs_pandas
+from repro.mi import estimate_mi
 from repro.synthgen import cdunif, decompose, trinomial
 
 
@@ -15,27 +16,29 @@ def pair():
 
 
 def test_prepare_mle_passthrough():
-    x = np.array(["a", "b"], object)
+    """Without jitter the sample reaches the estimator as it is."""
     y = np.array(["u", "v"], object)
-    px, py = _prepare(x, y, "mle", "none", np.random.default_rng(0))
-    assert (px == x).all() and (py == y).all()
+    assert _jitter(y, "none", np.random.default_rng(0)) is y
 
 
 def test_prepare_mixed_casts_to_float():
-    px, py = _prepare(np.array([1, 2]), np.array([3, 4]), "mixed_ksg", "none", np.random.default_rng(0))
-    assert px.dtype == np.float64 and py.dtype == np.float64
+    """The estimators cast their own inputs: int columns give the float
+    columns' estimate."""
+    rng = np.random.default_rng(3)
+    x, y = rng.integers(0, 20, 300), rng.integers(0, 20, 300)
+    for est in ("mixed_ksg", "dc_ksg"):
+        assert estimate_mi(x, y, est) == estimate_mi(x.astype(float), y.astype(float), est)
 
 
 def test_prepare_jitter_breaks_ties():
-    y = np.zeros(100)
-    _, py = _prepare(np.zeros(100), y, "dc_ksg", "y", np.random.default_rng(0))
+    py = _jitter(np.zeros(100), "y", np.random.default_rng(0))
     assert len(np.unique(py)) == 100
     assert np.abs(py).max() < 0.01  # low-magnitude noise
 
 
 def test_prepare_jitter_deterministic_per_rng():
-    _, a = _prepare(np.zeros(10), np.zeros(10), "dc_ksg", "y", np.random.default_rng(7))
-    _, b = _prepare(np.zeros(10), np.zeros(10), "dc_ksg", "y", np.random.default_rng(7))
+    a = _jitter(np.zeros(10), "y", np.random.default_rng(7))
+    b = _jitter(np.zeros(10), "y", np.random.default_rng(7))
     assert (a == b).all()
 
 
@@ -56,8 +59,6 @@ def test_evaluate_pair_full_matches_direct(pair):
         0, pair.train, pair.cand, n=32, methods=("tupsk",),
         estimators=(("mixed_ksg", "none"),), compute_full=True,
     )
-    from repro.mi import estimate_mi
-
     fy, fx = full_join_pairs_pandas(pair.train, pair.cand, "avg")
     expected = estimate_mi(fx.astype(float), fy.astype(float), "mixed_ksg")
     assert res[res["method"] == "full"]["mi_full"].iloc[0] == pytest.approx(expected, rel=1e-9)

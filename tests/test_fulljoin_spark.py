@@ -40,7 +40,7 @@ def _tables(seed=0, n=800, m=40):
 def test_featurize_matches_duckdb(spark, agg):
     train, cand = _tables()
     cdf = spark.createDataFrame(cand)
-    got = fulljoin.featurize(cdf, key_col="key", val_col="x", agg=agg)
+    got = fulljoin.featurize(cdf, agg=agg)
     sql = f"SELECT key, {AGG_SQL[agg]} AS x FROM cand GROUP BY key"
     assert_equivalent(got, sql, cand=cand)
 
@@ -51,7 +51,7 @@ def test_featurize_mode_matches_duckdb(spark):
     # duplicate every row so counts are even and tie-breaking matters.
     cand = cand.assign(x=np.floor(cand["x"]))
     cdf = spark.createDataFrame(cand)
-    got = fulljoin.featurize(cdf, key_col="key", val_col="x", agg="mode")
+    got = fulljoin.featurize(cdf, agg="mode")
     sql = """
         SELECT key, x FROM (
             SELECT key, x, ROW_NUMBER() OVER (
@@ -139,4 +139,4 @@ def test_tpch_lite_augmentation(spark):
 def test_featurize_rejects_unknown_agg(spark):
     train, cand = _tables(seed=5)
     with pytest.raises(ValueError):
-        fulljoin.featurize(spark.createDataFrame(cand), agg="median", key_col="key", val_col="x")
+        fulljoin.featurize(spark.createDataFrame(cand), agg="median")

@@ -137,3 +137,16 @@ def test_dc_ksg_rejects_nan_in_the_continuous_variable():
     y[3] = np.nan
     with pytest.raises(ValueError, match="NaN"):
         mi_dc_ksg(rng.integers(0, 3, 200), y)
+
+
+def test_mixed_ksg_radius_below_half_an_ulp_keeps_the_point_and_its_ties():
+    """rho of the first two points is 1 ulp of 0.3, below half an ulp of
+    x = 2, so 2 ± rho rounds back to 2; the x-ball must still hold both
+    x-ties (n_x = 2) rather than count below zero."""
+    from repro.mi import digamma
+
+    x = [2.0, 2.0, 5.0, 5.0]
+    y = [0.3, 0.1 + 0.2, 0.0, 1.0]
+    # n_x = 2 at every point; n_y = 1, 1, 3, 3; k = 1 everywhere.
+    expected = digamma(1.0) + math.log(4) - digamma(2.0) - (digamma(1.0) + digamma(3.0)) / 2
+    assert mi_mixed_ksg(x, y, k=1) == pytest.approx(expected, rel=1e-12)

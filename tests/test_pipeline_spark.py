@@ -34,7 +34,7 @@ def test_train_sketch_spark_equals_numpy_keydep(spark, keydep_pair, method):
     pair = keydep_pair
     expected = METHODS[method][0](pair.train["key"].to_numpy(), pair.train["y"].to_numpy(), 64)
     got = pipeline.spark_train_sketch(
-        spark.createDataFrame(pair.train), n=64, method=method, val_col="y"
+        spark.createDataFrame(pair.train), n=64, method=method
     )
     _assert_same(expected, got)
 
@@ -44,7 +44,7 @@ def test_train_sketch_spark_equals_numpy_keyind(spark, keyind_pair, method):
     pair = keyind_pair
     expected = METHODS[method][0](pair.train["key"].to_numpy(), pair.train["y"].to_numpy(), 100)
     got = pipeline.spark_train_sketch(
-        spark.createDataFrame(pair.train), n=100, method=method, val_col="y"
+        spark.createDataFrame(pair.train), n=100, method=method
     )
     _assert_same(expected, got)
 
@@ -55,7 +55,7 @@ def test_cand_sketch_spark_equals_numpy(spark, keydep_pair, method, agg):
     pair = keydep_pair
     expected = METHODS[method][1](pair.cand["key"].to_numpy(), pair.cand["x"].to_numpy(), 48, agg)
     got = pipeline.spark_cand_sketch(
-        spark.createDataFrame(pair.cand), n=48, method=method, agg=agg, val_col="x"
+        spark.createDataFrame(pair.cand), n=48, method=method, agg=agg
     )
     _assert_same(expected, got)
 
@@ -69,7 +69,7 @@ def test_cand_count_skips_nan_values_spark_equals_numpy(spark, keydep_pair, meth
     keys = cand["key"].to_numpy()
     expected = METHODS[method][1](keys, x, 48, "count")
     got = pipeline.spark_cand_sketch(
-        spark.createDataFrame(cand), n=48, method=method, agg="count", val_col="x"
+        spark.createDataFrame(cand), n=48, method=method, agg="count"
     )
     _assert_same(expected, got)
     if cand_agg(method, "count") == "count":  # CSK's cand side is FIRST
@@ -131,7 +131,7 @@ def test_csk_first_value_is_the_first_row_nan_included(spark):
 def test_unknown_method_raises(spark, keydep_pair):
     with pytest.raises(ValueError):
         pipeline.spark_train_sketch(
-            spark.createDataFrame(keydep_pair.train), n=8, method="bogus", val_col="y"
+            spark.createDataFrame(keydep_pair.train), n=8, method="bogus"
         )
 
 
@@ -145,9 +145,9 @@ def test_tupsk_scales_to_sf01_lineitem(spark):
         "monotonically_increasing_id() as rid", "l_orderkey as key", "l_extendedprice as y"
     ).cache()
     try:
-        s = pipeline.spark_train_sketch(li, n=512, method="tupsk", val_col="y")
+        s = pipeline.spark_train_sketch(li, n=512, method="tupsk")
         assert len(s) == 512
-        s2 = pipeline.spark_train_sketch(li, n=512, method="lv2sk", val_col="y")
+        s2 = pipeline.spark_train_sketch(li, n=512, method="lv2sk")
         assert 512 <= len(s2) <= 1024
     finally:
         li.unpersist()
@@ -164,15 +164,13 @@ def _numpy_train(table: pd.DataFrame, method: str, n: int):
 
 def _spark_train(spark, table, method, n, parts):
     return pipeline._train_sketch(
-        spark.createDataFrame(table), n=n, method=method, parts=parts,
-        key_col="key", val_col="y", rid_col="rid",
+        spark.createDataFrame(table), n=n, method=method, parts=parts
     )
 
 
 def _spark_cand(spark, table, method, n, parts, agg="avg"):
     return pipeline._cand_sketch(
-        spark.createDataFrame(table), n=n, method=method, agg=agg, parts=parts,
-        key_col="key", val_col="x", rid_col="rid",
+        spark.createDataFrame(table), n=n, method=method, agg=agg, parts=parts
     )
 
 

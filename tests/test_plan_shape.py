@@ -58,9 +58,8 @@ def pair_dfs(spark):
 @pytest.mark.parametrize("side, method", sorted(PINNED))
 def test_builder_plan_shape_is_pinned(pair_dfs, side, method):
     train, cand = pair_dfs
-    cols = dict(key_col="key", rid_col="rid", parts=4)
     if side == "train":
-        df = pipeline._train_pass(train, n=64, method=method, val_col="y", **cols)
+        df = pipeline._train_pass(train, n=64, method=method, parts=4)
     else:
-        df = pipeline._cand_pass(cand, n=64, method=method, agg="avg", val_col="x", **cols)
+        df = pipeline._cand_pass(cand, n=64, method=method, agg="avg", parts=4)
     assert plan_nodes(df) == PINNED[(side, method)]

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.mi import choose_estimator_name, estimate_mi, mi_dc_ksg, mi_mle, mi_mixed_ksg
+from repro.mi import choose_estimator_name, estimate_mi, mi_dc_ksg, mi_mle, mi_mixed_ksg, route
 
 
 def test_routing_matrix():
@@ -10,6 +10,20 @@ def test_routing_matrix():
     assert choose_estimator_name(False, False) == "mle"
     assert choose_estimator_name(True, False) == "dc_ksg"
     assert choose_estimator_name(False, True) == "dc_ksg"
+
+
+@pytest.mark.parametrize(
+    "x, y, expected",
+    [
+        (np.array([1.5, 2.0]), np.array([3, 4]), ("mixed_ksg", "avg")),
+        (np.array(["a", "b"], object), np.array(["u", "v"], object), ("mle", "mode")),
+        (np.array([1, 2], np.uint8), np.array(["u", "v"], object), ("dc_ksg", "avg")),
+        (np.array(["a", "b"], object), np.array([3.0, 4.0]), ("dc_ksg", "mode")),
+    ],
+)
+def test_route_matrix(x, y, expected):
+    """The estimator follows both types, the AGG the candidate's alone."""
+    assert route(x, y) == expected
 
 
 def test_dispatch_mle():
