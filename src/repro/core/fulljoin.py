@@ -40,8 +40,9 @@ def featurize(cand_df: DataFrame, agg: str = "avg") -> DataFrame:
     elif agg == "first":
         out = cand_df.groupBy("key").agg(F.min_by("x", F.col("rid")).alias("x"))
     else:  # mode, ties broken by earliest first appearance
+        # COUNT(x): a NULL value counts 0, so it wins only an all-NULL key.
         per_value = cand_df.groupBy("key", "x").agg(
-            F.count(F.lit(1)).alias("_cnt"), F.min("rid").alias("_first_rid")
+            F.count("x").alias("_cnt"), F.min("rid").alias("_first_rid")
         )
         w = Window.partitionBy("key").orderBy(F.col("_cnt").desc(), F.col("_first_rid").asc())
         out = (

@@ -18,27 +18,27 @@ from __future__ import annotations
 from typing import Callable
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 
 from repro.core.evaluate import RESULT_SCHEMA
 
 
 def run_pair_evaluations(
     spark: SparkSession,
-    train_tall: pd.DataFrame | DataFrame,
-    cand_tall: pd.DataFrame | DataFrame,
+    train_tall: pd.DataFrame,
+    cand_tall: pd.DataFrame,
     eval_fn: Callable[[int, pd.DataFrame, pd.DataFrame], pd.DataFrame],
 ) -> pd.DataFrame:
     """Evaluate every pair_id with ``eval_fn`` via cogrouped applyInPandas.
 
-    ``train_tall``/``cand_tall`` must contain a ``pair_id`` column plus
-    whatever columns ``eval_fn`` expects (typically rid/key/value), and
-    ``eval_fn`` returns rows of ``RESULT_SCHEMA``. The rows come back
-    sorted by ``pair_id``, each pair's rows in ``eval_fn``'s order, so
-    the output does not depend on task scheduling.
+    ``train_tall``/``cand_tall`` are pandas frames with a ``pair_id``
+    column plus whatever columns ``eval_fn`` expects (typically
+    rid/key/value), and ``eval_fn`` returns rows of ``RESULT_SCHEMA``.
+    The rows come back sorted by ``pair_id``, each pair's rows in
+    ``eval_fn``'s order, so the output does not depend on task
+    scheduling.
     """
-    tdf = train_tall if isinstance(train_tall, DataFrame) else spark.createDataFrame(train_tall)
-    cdf = cand_tall if isinstance(cand_tall, DataFrame) else spark.createDataFrame(cand_tall)
+    tdf, cdf = spark.createDataFrame(train_tall), spark.createDataFrame(cand_tall)
 
     def _fn(key: tuple, left: pd.DataFrame, right: pd.DataFrame) -> pd.DataFrame:
         left = left.sort_values("rid").reset_index(drop=True)

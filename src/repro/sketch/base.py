@@ -160,23 +160,6 @@ def bottom_n(coord: np.ndarray, n: int) -> np.ndarray:
     return np.argsort(coord, kind="stable")[:n]
 
 
-def builders(select_train, select_cand, own_agg: str | None = None):
-    """A method's ``(train_sketch(keys, values, n), cand_sketch(keys,
-    values, n, agg))``: prepare one table side, then select from it. A
-    method with an ``own_agg`` featurizes the cand side with it, whatever
-    AGG is asked for."""
-
-    def train_sketch(keys: np.ndarray, values: np.ndarray, n: int) -> Sketch:
-        train = Train(keys, values)
-        return train.sketch(select_train(train, n))
-
-    def cand_sketch(keys: np.ndarray, values: np.ndarray, n: int, agg: str = "avg") -> Sketch:
-        cand = Cand(keys, values, own_agg or agg)
-        return cand.sketch(select_cand(cand, n))
-
-    return train_sketch, cand_sketch
-
-
 def join_sketches(train: Sketch, cand: Sketch) -> tuple[np.ndarray, np.ndarray]:
     """Join two sketches on their hashed keys (paper's S_join).
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .base import Train, builders
+from .base import Train
 from .lv2sk import select_cand
 
 #: CSK ignores the AGG it is asked for: its cand side keeps the first value.
@@ -27,6 +27,3 @@ def select_train(train: Train, n: int) -> np.ndarray:
     ``select_cand`` takes them from a table featurized with FIRST."""
     codes = np.flatnonzero(pd.notna(train.keys[train.first]))
     return train.first[codes[np.argsort(train.u_key[codes], kind="stable")[:n]]]
-
-
-train_sketch, cand_sketch = builders(select_train, select_cand, AGG)

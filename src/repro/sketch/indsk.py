@@ -20,7 +20,7 @@ import numpy as np
 from repro import hashing
 from repro.hashing.murmur3 import murmur3_32_u32pair
 
-from .base import Cand, Train, bottom_n, builders
+from .base import Cand, Train, bottom_n
 
 #: Salts of the two sides' hash streams, shared with the Spark builders.
 SALT_TRAIN = 0xA5A5A5A5
@@ -41,6 +41,3 @@ def select_train(train: Train, n: int) -> np.ndarray:
 def select_cand(cand: Cand, n: int) -> np.ndarray:
     """Uniform n-subset of the aggregated keys (own salt)."""
     return bottom_n(salted_u01(cand.key_hash, SALT_CAND), n)
-
-
-train_sketch, cand_sketch = builders(select_train, select_cand)

@@ -17,7 +17,7 @@ import pandas as pd
 
 from repro import hashing
 
-from .base import Cand, Train, bottom_n, builders
+from .base import Cand, Train, bottom_n
 
 
 def two_level(train: Train, key_order: np.ndarray, n: int) -> np.ndarray:
@@ -38,6 +38,3 @@ def select_train(train: Train, n: int) -> np.ndarray:
 def select_cand(cand: Cand, n: int) -> np.ndarray:
     """KMV over the (aggregated, so unique) keys."""
     return bottom_n(hashing.u01(cand.key_hash), n)
-
-
-train_sketch, cand_sketch = builders(select_train, select_cand)

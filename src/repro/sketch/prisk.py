@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Train, builders
-from .lv2sk import select_cand, two_level
+from .base import Train
+from .lv2sk import select_cand, two_level  # aggregated keys all weigh 1: LV2SK's KMV
 
 
 def select_train(train: Train, n: int) -> np.ndarray:
@@ -21,7 +21,3 @@ def select_train(train: Train, n: int) -> np.ndarray:
     # positive float.
     priority = train.counts / np.maximum(train.u_key, np.finfo(np.float64).tiny)
     return two_level(train, np.argsort(-priority, kind="stable"), n)
-
-
-# Aggregated keys all have weight 1 -> same cand selection as LV2SK.
-train_sketch, cand_sketch = builders(select_train, select_cand)

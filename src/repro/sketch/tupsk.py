@@ -12,7 +12,7 @@ import numpy as np
 
 from repro import hashing
 
-from .base import Cand, Train, bottom_n, builders
+from .base import Cand, Train, bottom_n
 
 
 def select_train(train: Train, n: int) -> np.ndarray:
@@ -23,6 +23,3 @@ def select_train(train: Train, n: int) -> np.ndarray:
 def select_cand(cand: Cand, n: int) -> np.ndarray:
     """Keep the n keys minimizing ``h_u(h(<k, 1>))``."""
     return bottom_n(hashing.tuple_u01(cand.key_hash, np.ones_like(cand.key_hash)), n)
-
-
-train_sketch, cand_sketch = builders(select_train, select_cand)

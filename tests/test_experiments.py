@@ -42,6 +42,16 @@ def test_table1_run_and_summarize(spark, tiny_workload):
     assert piv["tupsk"] > piv["indsk"]
 
 
+def test_table1_mse_order(spark):
+    """Headline shape of Table I at N = 10k: TUPSK beats the two-level
+    baselines, which beat the uncoordinated baseline, in mean MSE."""
+    wl = table1.build_workload(n_rows=10_000, trials_per_config=1, cdunif_draws=4, seed=11)
+    summary = table1.summarize(table1.run(spark, wl))
+    piv = summary.pivot(index="method", columns="dataset", values="mse")
+    assert piv.loc["tupsk"].mean() <= piv.loc["lv2sk"].mean()
+    assert piv.loc["lv2sk"].mean() <= piv.loc["indsk"].mean()
+
+
 def test_fulljoin_accuracy_tracks_true_mi(spark, tiny_workload):
     raw = fulljoin_accuracy.run(spark, tiny_workload)
     summary = fulljoin_accuracy.summarize(raw)
@@ -62,6 +72,14 @@ def test_table2_run_and_summarize(spark):
     }
     assert (summary["mse"] >= 0).all()
     assert summary["spearman_r"].between(-1, 1).all()
+
+
+def test_table2_tupsk_rank_aligns_with_full_join(spark):
+    """On a reduced NYC-like collection, TUPSK estimates rank-align with
+    the full-join estimates."""
+    summary = table2.summarize(table2.run(spark, "nyc", n_pairs=24, n=1024, seed=1))
+    tupsk = summary[summary["method"] == "tupsk"].iloc[0]
+    assert tupsk["spearman_r"] > 0.5
 
 
 def test_timing_measure_shape():

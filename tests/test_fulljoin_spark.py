@@ -107,6 +107,25 @@ def test_full_join_pairs_pandas_matches_spark(spark):
     assert a == b
 
 
+def test_augment_mode_skips_null_values_like_pandas(spark):
+    """MODE counts no NULL value on either engine: a key with more NULLs
+    than values still gets its most frequent value, and ties still go
+    to the value seen first."""
+    train = pd.DataFrame({"rid": range(6), "key": [1, 1, 2, 2, 3, 3], "y": np.arange(6.0)})
+    cand = pd.DataFrame(
+        {
+            "rid": range(10),
+            "key": [1, 1, 1, 1, 2, 2, 3, 3, 3, 3],
+            "x": [None, None, None, 5.0, 7.0, 7.0, None, None, 2.0, 3.0],
+        }
+    )
+    tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand)
+    got = fulljoin.augment(tdf, cdf, agg="mode").select("y", "x").toPandas()
+    py, px = full_join_pairs_pandas(train, cand, "mode")
+    assert sorted(zip(got["y"], got["x"])) == sorted(zip(py, px))
+    assert len(got) == len(train)
+
+
 def test_full_join_mi_returns_size(spark):
     train, cand = _tables(seed=4)
     tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand)
