@@ -58,9 +58,12 @@ def full_join_pairs_pandas(
 def _join_aug(
     train: pd.DataFrame, keys: np.ndarray, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Inner-join the train rows to the featurized candidate (one x per key)."""
+    """Inner-join the train rows to the featurized candidate (one x per
+    key), leaving out the keys whose x is NULL or NaN, as ``augment``'s
+    ``x IS NOT NULL`` does."""
+    kept = ~pd.isna(x)
     merged = train[["key", "y"]].merge(
-        pd.DataFrame({"key": keys, "x": x}), on="key", how="inner", sort=False
+        pd.DataFrame({"key": keys[kept], "x": x[kept]}), on="key", how="inner", sort=False
     )
     return merged["y"].to_numpy(), merged["x"].to_numpy()
 

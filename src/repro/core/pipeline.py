@@ -17,6 +17,9 @@ kept key also sends its ``j = 1`` row, so ties between keys go to the
 first ``rid`` as in numpy. INDSK samples train rows by ``rid`` alone
 and skips the repartition. Limit: a partition must fit in one Python
 worker. Rows need a stable row id (``rid``) to define ``j``.
+
+:func:`map_key_partitions` is that partition step, for both builders
+and for ``repro.core.fulljoin.featurize``.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from pyspark.sql import types as T
 
 from repro.sketch import SELECTORS, Cand, Sketch, Train, aggregate_cand, cand_agg
 
-_COUNTS = [T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p")]
+_COUNTS = tuple(T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p"))
 
 
 def _selectors(method: str):
@@ -37,11 +40,36 @@ def _selectors(method: str):
     return SELECTORS[method]
 
 
-def _sorted(batches) -> pd.DataFrame:
-    frames = list(batches)
-    if not frames:
-        return pd.DataFrame()
-    return pd.concat(frames, ignore_index=True).sort_values("rid", kind="stable", ignore_index=True)
+def map_key_partitions(
+    df: DataFrame, value: str, local, *, parts: int, agg: str | None = None,
+    rid: bool = True, extra: tuple[T.StructField, ...] = (), shuffle: bool = True,
+) -> DataFrame:
+    """Run ``local`` on ``df[rid, key, value]`` one key partition at a time.
+
+    The rows are repartitioned by key into ``parts`` partitions (unless
+    not ``shuffle``), so all rows of a key meet in one. ``local`` gets
+    each non-empty partition as one pandas frame sorted by ``rid`` and
+    returns its output rows: ``rid`` (unless not ``rid``), ``key`` and
+    ``value``, typed as ``agg`` makes it (AVG double, COUNT long, else
+    as the input), then the ``extra`` fields.
+    """
+    rows = df.select("rid", "key", value)
+    if shuffle:
+        rows = rows.repartition(parts, "key")
+    val_type = {"avg": T.DoubleType(), "count": T.LongType()}.get(agg, rows.schema[value].dataType)
+    schema = T.StructType([
+        *rows.schema.fields[0 if rid else 1:2], T.StructField(value, val_type), *extra
+    ])
+
+    def run(batches):
+        frames = list(batches)
+        if frames:
+            yield local(
+                pd.concat(frames, ignore_index=True)
+                .sort_values("rid", kind="stable", ignore_index=True)
+            )
+
+    return rows.mapInPandas(run, schema)
 
 
 def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
@@ -49,49 +77,39 @@ def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
     first row of each of their keys, ``j``, ``n_k`` and, on a
     partition's first row (0 on the rest), its row count ``n_p``."""
     select = _selectors(method)[0]
-    rows = df.select("rid", "key", "y")
-    if method != "indsk":  # INDSK reads neither j nor N_k
-        rows = rows.repartition(parts, "key")
 
-    def local(batches):
-        pdf = _sorted(batches)
-        if pdf.empty:
-            return
+    def local(pdf):
         train = Train(pdf["key"].to_numpy(), pdf["y"].to_numpy(), pdf["rid"].to_numpy())
         picked = select(train, n)
         keep = np.union1d(picked, train.first[train.codes[picked]])
         n_p = np.zeros(len(keep), np.int64)
         n_p[:1] = len(pdf)
-        yield pdf.iloc[keep].assign(
+        return pdf.iloc[keep].assign(
             j=train.j[keep], n_k=train.counts[train.codes[keep]], n_p=n_p
         )
 
-    return rows.mapInPandas(local, T.StructType(rows.schema.fields + _COUNTS))
+    # INDSK reads neither j nor N_k, so its rows need no shuffle.
+    return map_key_partitions(
+        df, "y", local, parts=parts, extra=_COUNTS, shuffle=method != "indsk"
+    )
 
 
 def _cand_pass(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> DataFrame:
     """The keys each key-partition's cand selector keeps, with their AGG
     value and the ``rid`` of their first row."""
     select = _selectors(method)[1]
-    rows = df.select("rid", "key", "x").repartition(parts, "key")
     agg = cand_agg(method, agg)
-    val_type = {"avg": T.DoubleType(), "count": T.LongType()}.get(agg, rows.schema["x"].dataType)
 
-    def local(batches):
-        pdf = _sorted(batches)
-        if pdf.empty:
-            return
+    def local(pdf):
         keys = pdf["key"].to_numpy()
         cand = Cand(keys, pdf["x"].to_numpy(), agg)
         first_rid = aggregate_cand(keys, pdf["rid"].to_numpy(), "first")["value"].to_numpy()
         picked = select(cand, n)
-        yield pd.DataFrame(
+        return pd.DataFrame(
             {"rid": first_rid[picked], "key": cand.keys[picked], "x": cand.values[picked]}
         )
 
-    return rows.mapInPandas(
-        local, T.StructType([*rows.schema.fields[:2], T.StructField("x", val_type)])
-    )
+    return map_key_partitions(df, "x", local, parts=parts, agg=agg)
 
 
 def _union(pass_df: DataFrame) -> pd.DataFrame:

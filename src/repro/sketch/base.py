@@ -59,8 +59,7 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
 def _mode(keys: np.ndarray, values: np.ndarray) -> pd.DataFrame:
     """Most frequent value per key; ties go to the value seen first.
 
-    Matches ``groupby(sort=False)`` with ``value_counts`` per group (and
-    the Spark implementation in ``repro.core.fulljoin.featurize``): NULL
+    Matches ``groupby(sort=False)`` with ``value_counts`` per group: NULL
     keys are dropped, NaN values are not counted, and a key whose values
     are all NaN gets NaN.
     """

@@ -13,6 +13,7 @@ from repro.core import fulljoin
 from repro.core.evaluate import full_join_pairs_pandas
 from repro.mi import estimate_mi
 from repro.oracle import assert_equivalent
+from repro.sketch import AGG_FUNCTIONS, aggregate_cand
 from repro.synthgen import cdunif, decompose
 
 AGG_SQL = {
@@ -86,14 +87,6 @@ def test_augment_matches_paper_sql(spark, agg):
     assert_equivalent(got, sql, train=train, cand=cand)
 
 
-def test_augment_keeps_nulls_when_asked(spark):
-    train, cand = _tables(seed=2)
-    cand = cand[cand["key"] != cand["key"].iloc[0]]
-    tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand.reset_index(drop=True))
-    with_nulls = fulljoin.augment(tdf, cdf, agg="avg", drop_nulls=False)
-    assert with_nulls.count() == len(train)
-
-
 def test_full_join_pairs_pandas_matches_spark(spark):
     """The in-task pandas implementation must agree with the Spark
     operators (it runs inside cogrouped tasks where Spark is not
@@ -159,3 +152,95 @@ def test_featurize_rejects_unknown_agg(spark):
     train, cand = _tables(seed=5)
     with pytest.raises(ValueError):
         fulljoin.featurize(spark.createDataFrame(cand), agg="median")
+
+
+#: MODE with deterministic ties, as SQL: COUNT(x) counts no NULL value,
+#: so a NULL wins only a key whose values are all NULL.
+MODE_SQL = """
+    SELECT key, x FROM (
+        SELECT key, x, ROW_NUMBER() OVER (
+            PARTITION BY key ORDER BY cnt DESC, first_rid ASC
+        ) AS rn
+        FROM (
+            SELECT key, x, COUNT(x) AS cnt, MIN(rid) AS first_rid
+            FROM cand GROUP BY key, x
+        )
+    ) WHERE rn = 1
+"""
+
+
+def _null_cand(seed=0, n=240):
+    """Repeated keys 0..9 (a NULL key on some rows) with half-integer
+    values for MODE ties, some NULL values, key 7's values all NULL, and
+    row ids that are neither 0..N-1 nor in row order."""
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 10, n).astype(object)
+    x = np.round(rng.normal(0, 2, n) * 2) / 2
+    x = np.where(rng.random(n) < 0.2, None, x).astype(object)
+    x[keys == 7] = None
+    keys[rng.random(n) < 0.05] = None
+    rid = 1000 + rng.permutation(3 * n)[:n]
+    return [(int(r), k, v) for r, k, v in zip(rid, keys, x)]
+
+
+def _as_dict(keys, values) -> dict:
+    return {k: None if pd.isna(v) else v for k, v in zip(keys, values)}
+
+
+@pytest.mark.parametrize("agg", AGG_FUNCTIONS)
+@pytest.mark.parametrize("key_type", ["long", "string"])
+def test_featurize_equals_numpy_aggregate_cand(spark, agg, key_type):
+    """Spark featurize is the numpy AGG: the same value per key, NULL
+    keys give no row, and NULL values are skipped."""
+    rows = _null_cand()
+    if key_type == "string":
+        rows = [(r, None if k is None else f"k{k}", v) for r, k, v in rows]
+    df = spark.createDataFrame(rows, f"rid long, key {key_type}, x double")
+    got = fulljoin.featurize(df, agg).toPandas()
+    pdf = df.toPandas().sort_values("rid", kind="stable")
+    want = aggregate_cand(pdf["key"].to_numpy(), pdf["x"].to_numpy(), agg)
+    assert len(got) == len(want) == 10
+    assert _as_dict(got["key"], got["x"]) == _as_dict(want["key"], want["value"])
+
+
+@pytest.mark.parametrize("agg, want", [("avg", 1.0), ("count", 1), ("first", 1.0), ("mode", 1.0)])
+def test_featurize_skips_a_real_nan_like_numpy(spark, agg, want):
+    df = spark.createDataFrame([(0, 1, 1.0), (1, 1, float("nan"))], "rid long, key long, x double")
+    got = fulljoin.featurize(df, agg).collect()
+    pdf = df.toPandas()
+    numpy = aggregate_cand(pdf["key"].to_numpy(), pdf["x"].to_numpy(), agg)
+    assert [(r.key, r.x) for r in got] == [(1, want)] == list(zip(numpy["key"], numpy["value"]))
+
+
+@pytest.mark.parametrize("agg", AGG_FUNCTIONS)
+def test_augment_with_null_cand_keys_and_values_matches_paper_sql(spark, agg):
+    """The Section III-B query over a cand table with NULL keys, NULL
+    values and a key whose values are all NULL."""
+    train = pd.DataFrame({"rid": range(40), "key": np.arange(40) % 12, "y": np.arange(40.0)})
+    cand = pd.DataFrame(_null_cand(seed=1), columns=["rid", "key", "x"]).astype(
+        {"key": "Int64", "x": "float64"}
+    )
+    tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand)
+    got = fulljoin.augment(tdf, cdf, agg=agg)
+    # FIRST is the first row's value, NULL included; DuckDB's MIN_BY
+    # skips NULL values.
+    sql_agg = {**AGG_SQL, "first": "FIRST(x ORDER BY rid)"}[agg]
+    aug = MODE_SQL if agg == "mode" else f"SELECT key, {sql_agg} AS x FROM cand GROUP BY key"
+    sql = f"""
+        SELECT t.key AS key, t.y AS y, a.x AS x
+        FROM train t LEFT JOIN ({aug}) a ON t.key = a.key
+        WHERE a.x IS NOT NULL
+    """
+    assert_equivalent(got, sql, train=train, cand=cand)
+
+
+@pytest.mark.parametrize("agg", ["avg", "mode", "first"])
+def test_full_join_pairs_pandas_drops_null_aggregates_like_augment(spark, agg):
+    """A key whose cand values are all NULL has a NULL AGG value: the
+    pandas full join drops its train rows, as augment's x IS NOT NULL."""
+    train = pd.DataFrame({"rid": range(4), "key": [1, 1, 4, 4], "y": [0.0, 1.0, 2.0, 3.0]})
+    cand = pd.DataFrame({"rid": range(4), "key": [1, 1, 4, 4], "x": [5.0, None, None, None]})
+    tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand)
+    got = fulljoin.augment(tdf, cdf, agg=agg).select("y", "x").toPandas()
+    py, px = full_join_pairs_pandas(train, cand, agg)
+    assert sorted(zip(py, px)) == sorted(zip(got["y"], got["x"])) == [(0.0, 5.0), (1.0, 5.0)]

@@ -1,7 +1,8 @@
-"""Pinned physical-plan shape of the Spark sketch builders.
+"""Pinned physical-plan shape of the Spark sketch builders and of
+``augment``.
 
-Each builder's final DataFrame (the pass whose rows it collects) is
-planned, and its shuffles (``Exchange``), Python round trips
+Each builder's final DataFrame (the pass whose rows it collects), and
+``augment``'s result, is planned, and its shuffles (``Exchange``), Python round trips
 (``ArrowEvalPython``, ``MapInPandas``), windows and sort-merge joins are
 counted. A change that adds one fails here; one that removes one
 updates the pin.
@@ -11,7 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro.core import pipeline
+from repro.core import fulljoin, pipeline
 from repro.synthgen import cdunif, decompose
 
 NODES = ("Exchange", "ArrowEvalPython", "Window", "SortMergeJoin", "MapInPandas")
@@ -31,6 +32,11 @@ PINNED = {
     ("cand", "indsk"): (1, 0, 0, 0, 1),
     ("cand", "csk"): (1, 0, 0, 0, 1),
 }
+
+#: ``augment`` per AGG: the cand side's shuffle by key and Python pass
+#: (the builders' pass, running the numpy AGG), then a sort-merge join
+#: with a shuffle on each side.
+AUGMENT_PINNED = {agg: (3, 0, 0, 1, 1) for agg in ("avg", "count", "mode", "first")}
 
 
 def plan_nodes(df) -> tuple[int, ...]:
@@ -63,3 +69,9 @@ def test_builder_plan_shape_is_pinned(pair_dfs, side, method):
     else:
         df = pipeline._cand_pass(cand, n=64, method=method, agg="avg", parts=4)
     assert plan_nodes(df) == PINNED[(side, method)]
+
+
+@pytest.mark.parametrize("agg", sorted(AUGMENT_PINNED))
+def test_augment_plan_shape_is_pinned(pair_dfs, agg):
+    train, cand = pair_dfs
+    assert plan_nodes(fulljoin.augment(train, cand, agg=agg)) == AUGMENT_PINNED[agg]
