@@ -18,14 +18,26 @@ these operators against DuckDB running the SQL above.
 :func:`featurize` runs the numpy core's ``aggregate_cand`` on each key
 partition, in the sketch builders' pass
 (``repro.core.pipeline.map_key_partitions``), so AGG has one definition
-for both engines. A NULL key gives no row; it never joined anyway.
+for both engines. A NULL key gives no row; it never joined anyway. It
+is dropped before the pass: Arrow hands pandas an integer column that
+holds a NULL as float64, which would round ``long`` keys above 2^53.
+For the same reason FIRST and MODE, which return input values, take an
+integer ``x`` through the pass as text. A NaN float key gives no row
+either, as in numpy; Spark SQL and DuckDB would join it to a NaN train
+key.
+
+Limit: the cand rows are split by key into ``defaultParallelism``
+partitions, and each partition is one pandas frame in one Python
+worker, so it must fit in that worker's memory; a Spark ``groupBy``
+would aggregate partially and spill to disk instead.
 """
 from __future__ import annotations
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
+from pyspark.sql import types as T
 
-from repro.core.pipeline import map_key_partitions
+from repro.core.pipeline import agg_field, map_key_partitions
 from repro.sketch.base import AGG_FUNCTIONS, aggregate_cand
 
 
@@ -38,8 +50,15 @@ def featurize(cand_df: DataFrame, agg: str = "avg") -> DataFrame:
         aug = aggregate_cand(pdf["key"].to_numpy(), pdf["x"].to_numpy(), agg)
         return aug.rename(columns={"value": "x"})
 
+    rows = cand_df.where(F.col("key").isNotNull()).select("rid", "key", "x")
+    x_type = rows.schema["x"].dataType
+    as_text = agg in ("first", "mode") and isinstance(x_type, T.IntegralType)
+    if as_text:
+        rows = rows.withColumn("x", F.col("x").cast("string"))
+    schema = T.StructType([rows.schema["key"], agg_field(rows, agg)])
     parts = cand_df.sparkSession.sparkContext.defaultParallelism
-    return map_key_partitions(cand_df, "x", local, parts=parts, agg=agg, rid=False)
+    aug = map_key_partitions(rows, local, schema, parts=parts)
+    return aug.withColumn("x", F.col("x").cast(x_type)) if as_text else aug
 
 
 def augment(train_df: DataFrame, cand_df: DataFrame, *, agg: str = "avg") -> DataFrame:

@@ -31,7 +31,7 @@ from pyspark.sql import types as T
 
 from repro.sketch import SELECTORS, Cand, Sketch, Train, aggregate_cand, cand_agg
 
-_COUNTS = tuple(T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p"))
+_COUNTS = [T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p")]
 
 
 def _selectors(method: str):
@@ -40,26 +40,25 @@ def _selectors(method: str):
     return SELECTORS[method]
 
 
-def map_key_partitions(
-    df: DataFrame, value: str, local, *, parts: int, agg: str | None = None,
-    rid: bool = True, extra: tuple[T.StructField, ...] = (), shuffle: bool = True,
-) -> DataFrame:
-    """Run ``local`` on ``df[rid, key, value]`` one key partition at a time.
+def agg_field(rows: DataFrame, agg: str) -> T.StructField:
+    """The column ``x`` of ``rows`` featurized with ``agg``: AVG is
+    double, COUNT long, the other AGGs keep the type of ``x``."""
+    val_type = {"avg": T.DoubleType(), "count": T.LongType()}.get(agg, rows.schema["x"].dataType)
+    return T.StructField("x", val_type)
 
-    The rows are repartitioned by key into ``parts`` partitions (unless
-    not ``shuffle``), so all rows of a key meet in one. ``local`` gets
+
+def map_key_partitions(
+    rows: DataFrame, local, schema: T.StructType, *, parts: int | None
+) -> DataFrame:
+    """Run ``local`` on ``rows`` one key partition at a time.
+
+    The rows are repartitioned by key into ``parts`` partitions (None:
+    keep their own), so all rows of a key meet in one. ``local`` gets
     each non-empty partition as one pandas frame sorted by ``rid`` and
-    returns its output rows: ``rid`` (unless not ``rid``), ``key`` and
-    ``value``, typed as ``agg`` makes it (AVG double, COUNT long, else
-    as the input), then the ``extra`` fields.
+    returns its output rows, typed as ``schema``.
     """
-    rows = df.select("rid", "key", value)
-    if shuffle:
+    if parts is not None:
         rows = rows.repartition(parts, "key")
-    val_type = {"avg": T.DoubleType(), "count": T.LongType()}.get(agg, rows.schema[value].dataType)
-    schema = T.StructType([
-        *rows.schema.fields[0 if rid else 1:2], T.StructField(value, val_type), *extra
-    ])
 
     def run(batches):
         frames = list(batches)
@@ -88,9 +87,11 @@ def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
             j=train.j[keep], n_k=train.counts[train.codes[keep]], n_p=n_p
         )
 
+    rows = df.select("rid", "key", "y")
     # INDSK reads neither j nor N_k, so its rows need no shuffle.
     return map_key_partitions(
-        df, "y", local, parts=parts, extra=_COUNTS, shuffle=method != "indsk"
+        rows, local, T.StructType(rows.schema.fields + _COUNTS),
+        parts=None if method == "indsk" else parts,
     )
 
 
@@ -109,7 +110,9 @@ def _cand_pass(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> D
             {"rid": first_rid[picked], "key": cand.keys[picked], "x": cand.values[picked]}
         )
 
-    return map_key_partitions(df, "x", local, parts=parts, agg=agg)
+    rows = df.select("rid", "key", "x")
+    schema = T.StructType([*rows.schema.fields[:2], agg_field(rows, agg)])
+    return map_key_partitions(rows, local, schema, parts=parts)
 
 
 def _union(pass_df: DataFrame) -> pd.DataFrame:

@@ -244,3 +244,45 @@ def test_full_join_pairs_pandas_drops_null_aggregates_like_augment(spark, agg):
     got = fulljoin.augment(tdf, cdf, agg=agg).select("y", "x").toPandas()
     py, px = full_join_pairs_pandas(train, cand, agg)
     assert sorted(zip(py, px)) == sorted(zip(got["y"], got["x"])) == [(0.0, 5.0), (1.0, 5.0)]
+
+
+@pytest.mark.parametrize("agg", AGG_FUNCTIONS)
+def test_augment_keeps_long_keys_above_2_53_exact_beside_a_null_key(spark, agg):
+    """A NULL cand key does not turn the long keys sharing its partition
+    into float64: keys 2^53 + i stay apart and join their own train rows."""
+    big = 2**53
+    keys = [big + 1, None, big] + [big + i for i in range(2, 64)]
+    rows = [(rid, k, rid + 1.0) for rid, k in enumerate(keys)]
+    cand = pd.DataFrame(
+        {"rid": range(len(keys)), "key": pd.array(keys, "Int64"), "x": [r[2] for r in rows]}
+    )
+    train = pd.DataFrame({"rid": range(64), "key": big + np.arange(64), "y": np.arange(64.0)})
+    cdf = spark.createDataFrame(rows, "rid long, key long, x double")
+    got = fulljoin.augment(spark.createDataFrame(train), cdf, agg=agg)
+    sql_agg = {**AGG_SQL, "first": "FIRST(x ORDER BY rid)"}[agg]
+    aug = MODE_SQL if agg == "mode" else f"SELECT key, {sql_agg} AS x FROM cand GROUP BY key"
+    sql = f"""
+        SELECT t.key AS key, t.y AS y, a.x AS x
+        FROM train t LEFT JOIN ({aug}) a ON t.key = a.key
+        WHERE a.x IS NOT NULL
+    """
+    assert got.count() == 64
+    assert_equivalent(got, sql, train=train, cand=cand)
+
+
+@pytest.mark.parametrize("agg", ["first", "mode"])
+def test_featurize_keeps_long_values_above_2_53_exact_beside_a_null_value(spark, agg):
+    """FIRST and MODE return long values as they are, also in a key
+    partition that holds a NULL value."""
+    big = 2**53
+    values = [big + 1, None, big + 1, big, big, big + 3, None, big + 2]
+    keys = [1, 1, 2, 2, 2, 3, 3, 3]
+    cand = pd.DataFrame(
+        {"rid": range(8), "key": keys, "x": pd.array(values, "Int64")}
+    )
+    df = spark.createDataFrame(list(zip(range(8), keys, values)), "rid long, key long, x long")
+    got = fulljoin.featurize(df, agg)
+    assert got.schema["x"].dataType.simpleString() == "bigint"
+    sql_agg = {**AGG_SQL, "first": "FIRST(x ORDER BY rid)"}[agg]
+    sql = MODE_SQL if agg == "mode" else f"SELECT key, {sql_agg} AS x FROM cand GROUP BY key"
+    assert_equivalent(got, sql, cand=cand)
