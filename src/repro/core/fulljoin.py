@@ -17,14 +17,11 @@ these operators against DuckDB running the SQL above.
 
 :func:`featurize` runs the numpy core's ``aggregate_cand`` on each key
 partition, in the sketch builders' pass
-(``repro.core.pipeline.map_key_partitions``), so AGG has one definition
-for both engines. A NULL key gives no row; it never joined anyway. It
-is dropped before the pass: Arrow hands pandas an integer column that
-holds a NULL as float64, which would round ``long`` keys above 2^53.
-For the same reason FIRST and MODE, which return input values, take an
-integer ``x`` through the pass as text. A NaN float key gives no row
-either, as in numpy; Spark SQL and DuckDB would join it to a NaN train
-key.
+(``repro.core.pipeline.map_key_partitions``, whose hand-off to pandas
+keeps ``long`` keys and values exact), so AGG has one definition for
+both engines. A NULL key gives no row; it never joined anyway. A NaN
+float key gives no row either, as in numpy; Spark SQL and DuckDB would
+join it to a NaN train key.
 
 Limit: the cand rows are split by key into ``defaultParallelism``
 partitions, and each partition is one pandas frame in one Python
@@ -50,15 +47,10 @@ def featurize(cand_df: DataFrame, agg: str = "avg") -> DataFrame:
         aug = aggregate_cand(pdf["key"].to_numpy(), pdf["x"].to_numpy(), agg)
         return aug.rename(columns={"value": "x"})
 
-    rows = cand_df.where(F.col("key").isNotNull()).select("rid", "key", "x")
-    x_type = rows.schema["x"].dataType
-    as_text = agg in ("first", "mode") and isinstance(x_type, T.IntegralType)
-    if as_text:
-        rows = rows.withColumn("x", F.col("x").cast("string"))
+    rows = cand_df.select("rid", "key", "x")
     schema = T.StructType([rows.schema["key"], agg_field(rows, agg)])
     parts = cand_df.sparkSession.sparkContext.defaultParallelism
-    aug = map_key_partitions(rows, local, schema, parts=parts)
-    return aug.withColumn("x", F.col("x").cast(x_type)) if as_text else aug
+    return map_key_partitions(rows, local, schema, parts=parts)
 
 
 def augment(train_df: DataFrame, cand_df: DataFrame, *, agg: str = "avg") -> DataFrame:

@@ -6,7 +6,7 @@ sketch reaches the driver, where sketch joins and MI estimation run.
 
 Each side is repartitioned by key into P = ``defaultParallelism``
 partitions, so a key's rows, and with them its ``j`` and ``N_k``, sit
-in one partition. One ``mapInPandas`` sorts each partition by ``rid``,
+in one partition. One ``mapInArrow`` sorts each partition by ``rid``,
 prepares it as the numpy core does (``Train``/``Cand``) and runs the
 method's own selector; the driver runs the same selector on the small
 union, sorted by ``rid``, with the ``j``, ``N_k`` and ``N = sum N_p``
@@ -19,15 +19,18 @@ and skips the repartition. Limit: a partition must fit in one Python
 worker. Rows need a stable row id (``rid``) to define ``j``.
 
 :func:`map_key_partitions` is that partition step, for both builders
-and for ``repro.core.fulljoin.featurize``.
+and for ``repro.core.fulljoin.featurize``. It and :func:`_union` are
+the one Spark -> pandas hand-off, and it is exact: an integer column
+holding a NULL arrives as Python ints and ``None``, not float64.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 from pyspark.sql import types as T
+from pyspark.sql.pandas.types import to_arrow_schema
 
 from repro.sketch import SELECTORS, Cand, Sketch, Train, aggregate_cand, cand_agg
 
@@ -47,6 +50,12 @@ def agg_field(rows: DataFrame, agg: str) -> T.StructField:
     return T.StructField("x", val_type)
 
 
+def _sorted_frame(table: pa.Table) -> pd.DataFrame:
+    """``table`` as pandas, sorted by ``rid``, with every value exact."""
+    frame = table.to_pandas(integer_object_nulls=True)
+    return frame.sort_values("rid", kind="stable", ignore_index=True)
+
+
 def map_key_partitions(
     rows: DataFrame, local, schema: T.StructType, *, parts: int | None
 ) -> DataFrame:
@@ -60,15 +69,15 @@ def map_key_partitions(
     if parts is not None:
         rows = rows.repartition(parts, "key")
 
-    def run(batches):
-        frames = list(batches)
-        if frames:
-            yield local(
-                pd.concat(frames, ignore_index=True)
-                .sort_values("rid", kind="stable", ignore_index=True)
-            )
+    out_schema = to_arrow_schema(schema)
 
-    return rows.mapInPandas(run, schema)
+    def run(batches):
+        batches = list(batches)
+        if batches:
+            out = local(_sorted_frame(pa.Table.from_batches(batches)))
+            yield pa.RecordBatch.from_pandas(out, schema=out_schema, preserve_index=False)
+
+    return rows.mapInArrow(run, schema)
 
 
 def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
@@ -116,7 +125,7 @@ def _cand_pass(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> D
 
 
 def _union(pass_df: DataFrame) -> pd.DataFrame:
-    return pass_df.toPandas().sort_values("rid", kind="stable", ignore_index=True)
+    return _sorted_frame(pass_df.toArrow())
 
 
 def _train_sketch(df: DataFrame, *, n: int, method: str, parts: int) -> Sketch:

@@ -13,15 +13,12 @@ import pandas as pd
 
 def is_numeric_column(values: np.ndarray | pd.Series) -> bool:
     """True iff every non-empty value parses as a float."""
-    s = pd.Series(np.asarray(values, dtype=object)).astype(str)
-    parsed = pd.to_numeric(s, errors="coerce")
-    return bool(parsed.notna().all()) and len(s) > 0
+    return cast_column(values).dtype == np.float64
 
 
 def cast_column(values: np.ndarray | pd.Series) -> np.ndarray:
     """Return float64 values when the column is numeric, else the raw
-    strings (object dtype)."""
+    strings (object dtype). Each value is parsed once."""
     arr = np.asarray(values, dtype=object)
-    if is_numeric_column(arr):
-        return pd.to_numeric(pd.Series(arr).astype(str)).to_numpy(np.float64)
-    return arr
+    parsed = pd.to_numeric(pd.Series(arr).astype(str), errors="coerce")
+    return parsed.to_numpy(np.float64) if len(arr) > 0 and parsed.notna().all() else arr

@@ -2,7 +2,7 @@
 
 The paper's Section III-B SQL is executed by DuckDB over the same
 inputs and diffed row-by-row against the Spark DataFrame results via
-``repro.oracle.assert_equivalent``.
+``tests.oracle.assert_equivalent``.
 """
 import numpy as np
 import pandas as pd
@@ -12,7 +12,7 @@ from repro import synth_data
 from repro.core import fulljoin
 from repro.core.evaluate import full_join_pairs_pandas
 from repro.mi import estimate_mi
-from repro.oracle import assert_equivalent
+from tests.oracle import assert_equivalent
 from repro.sketch import AGG_FUNCTIONS, aggregate_cand
 from repro.synthgen import cdunif, decompose
 

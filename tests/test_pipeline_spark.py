@@ -5,7 +5,7 @@ import pytest
 
 from repro import hashing
 from repro.core import pipeline
-from repro.sketch import METHODS, SELECTORS, Train, build_pair, cand_agg, indsk
+from repro.sketch import AGG_FUNCTIONS, METHODS, SELECTORS, Train, build_pair, cand_agg, indsk
 from repro.synthgen import cdunif, decompose
 
 
@@ -224,18 +224,58 @@ def test_offset_shuffled_row_ids_spark_equals_numpy(spark, method):
     _assert_same(_numpy_train(table, method, 80), _spark_train(spark, table, method, 80, 3))
 
 
-@pytest.mark.parametrize("method", list(METHODS))
-def test_null_string_train_keys_spark_equals_numpy(spark, method):
-    """NULL keys get one selector on both engines. (Whether NULL keys
-    should be dropped before sketching is a separate question.)"""
+#: (key type, method); a string case is named by its method alone.
+NULL_KEY_CASES = [pytest.param("string", m, id=m) for m in METHODS] + [
+    pytest.param("long", m, id=f"long-{m}") for m in METHODS
+]
+
+
+@pytest.mark.parametrize("key_type, method", NULL_KEY_CASES)
+def test_null_string_train_keys_spark_equals_numpy(spark, key_type, method):
+    """NULL keys get one selector on both engines, beside string keys and
+    beside long keys 2^53 + i, which no partition or union rounds to
+    float64. (Whether NULL keys should be dropped before sketching is a
+    separate question.)"""
     rng = np.random.default_rng(29)
-    keys = np.array([None if rng.random() < 0.2 else f"k{rng.integers(0, 12)}"
-                     for _ in range(120)], dtype=object)
+    draws = [None if rng.random() < 0.2 else rng.integers(0, 12) for _ in range(120)]
+    key = (lambda i: f"k{i}") if key_type == "string" else (lambda i: 2**53 + int(i))
+    keys = np.array([None if i is None else key(i) for i in draws], dtype=object)
     table = pd.DataFrame({"rid": np.arange(120), "key": keys, "y": rng.normal(size=120)})
+    df = spark.createDataFrame(table, f"rid long, key {key_type}, y double")
     _assert_same(
         METHODS[method][0](keys, table["y"].to_numpy(), 64),
-        pipeline.spark_train_sketch(spark.createDataFrame(table), n=64, method=method),
+        pipeline.spark_train_sketch(df, n=64, method=method),
     )
+
+
+def _exact(sketch) -> list[tuple]:
+    """A sketch's (h(k), value) pairs as Python objects, NULL and NaN as None."""
+    values = [None if pd.isna(v) else v for v in sketch.values.tolist()]
+    return list(zip(sketch.key_hash.tolist(), values))
+
+
+@pytest.mark.parametrize("parts", [1, 3])
+@pytest.mark.parametrize("agg", AGG_FUNCTIONS)
+@pytest.mark.parametrize("method", list(METHODS))
+def test_long_cand_keys_above_2_53_beside_nulls_spark_equals_numpy(spark, method, agg, parts):
+    """Cand keys 2^53 + i beside NULL keys, and for FIRST and MODE long
+    values 2^53 + i beside NULL values, keep their exact value through
+    the partitions and the driver's union: the sketch equals numpy's on
+    the collected rows."""
+    rng = np.random.default_rng(32)
+    big, n = 2**53, 200
+    keys = [None if rng.random() < 0.1 else big + int(rng.integers(0, 24)) for _ in range(n)]
+    x_type = "long" if agg in ("first", "mode") else "double"
+    cast = (lambda v: big + v) if x_type == "long" else float
+    x = [None if rng.random() < 0.15 else cast(int(rng.integers(0, 4))) for _ in range(n)]
+    df = spark.createDataFrame(list(zip(range(n), keys, x)), f"rid long, key long, x {x_type}")
+    rows = sorted(df.collect(), key=lambda r: r.rid)
+    want = METHODS[method][1](
+        np.array([r.key for r in rows], dtype=object), np.array([r.x for r in rows], dtype=object),
+        16, agg,
+    )
+    got = pipeline._cand_sketch(df, n=16, method=method, agg=agg, parts=parts)
+    assert _exact(got) == _exact(want)
 
 
 #: Two int64 keys with one 32-bit h(k) (found among 300k random int64 keys).
