@@ -11,12 +11,13 @@ Implemented from the primary sources, in numpy (no scipy offline):
 All estimators use the Chebyshev (max) metric in the joint space and
 natural logs, default ``k = 3``, and clip estimates at 0. Joint k-NN
 distances come from an exact box search over x-columns (the
-box-assisted search of Kraskov, Stögbauer & Grassberger 2004): every
-distance it keeps is computed as ``max(|x_i - x_j|, |y_i - y_j|)``, the
-same float operations as an all-pairs search, so it returns the same
-bits. DC-KSG's within-class 1-D distances use the k sorted positions on
-either side. Marginal neighborhood counts use sort + searchsorted,
-O(n log n).
+box-assisted search of Kraskov, Stögbauer & Grassberger 2004), one box
+per point, sized by the point's k-th distance to its neighbours in two
+sort orders: every distance it keeps is computed as
+``max(|x_i - x_j|, |y_i - y_j|)``, the same float operations as an
+all-pairs search, so it returns the same bits. DC-KSG's within-class
+1-D distances use the k sorted positions on either side. Marginal
+neighborhood counts use sort + searchsorted, O(n log n).
 """
 from __future__ import annotations
 
@@ -24,9 +25,9 @@ import numpy as np
 
 from .special import digamma
 
-# A box search block of r rows and c candidates is split while r * c
-# exceeds this many distances.
-_BLOCK_WORK = 1 << 14
+# The most candidate distances the joint search holds at once; a point
+# with more than this many candidates is searched alone.
+_CHUNK_WORK = 1 << 14
 
 
 def _as_float_col(a: np.ndarray) -> np.ndarray:
@@ -64,6 +65,24 @@ def _column_cuts(xo: np.ndarray, m: int) -> np.ndarray:
         cuts.append(int(starts[i]))
 
 
+def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
+    """Per consecutive segment of ``d`` (lengths ``counts``, each >= k),
+    its k-th smallest value. Segments are padded with inf to the next
+    power of two of their length, and each width is one partition."""
+    out = np.empty(len(counts))
+    starts = np.cumsum(counts) - counts
+    width = np.left_shift(1, np.frexp(counts - 1)[1])  # >= counts, exact for ints
+    for w in np.unique(width):
+        sel = np.flatnonzero(width == w)
+        c = counts[sel]
+        row = np.repeat(np.arange(len(sel)), c)
+        pos = np.arange(len(row)) - np.repeat(np.cumsum(c) - c, c)
+        pad = np.full((len(sel), w), np.inf)
+        pad[row, pos] = d[starts[sel][row] + pos]
+        out[sel] = np.partition(pad, k - 1, axis=1)[:, k - 1]
+    return out
+
+
 def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per point, in input order: the k-th NN Chebyshev distance in
     (x, y), and the count of exact duplicates (d_ij == 0, j != i).
@@ -71,12 +90,14 @@ def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     Needs finite values and n > k. Distinct finite floats never subtract
     to 0, so d_ij == 0 exactly when the points are equal: the duplicate
     counts come from grouping, and a point with >= k duplicates has
-    rho = 0. The other points are searched in boxes. The points are
-    sorted into x-columns of >= sqrt(n k) points, equal x never split,
-    and within a column by (y, x). A point's k-th distance to its k
-    column neighbours on either side bounds its rho from above; the
-    candidates of a block of column rows are the y-slices of every
-    column within the block's x-reach. Blocks are split until small.
+    rho = 0. Every other point is searched in its own box. The points
+    are sorted into x-columns of >= sqrt(n k) points, equal x never
+    split, and within a column by (y, x). A point's k-th distance to its
+    k neighbours on either side in its column, and to its k neighbours
+    on either side in the (x, y) sort, each bound its rho from above;
+    the smaller bound sets the box. Its candidates are the y-slices of
+    every column within the box's x-reach, found for all points at once,
+    and rho is the k-th smallest candidate distance.
     """
     n = len(x)
     order = np.lexsort((y, x))
@@ -102,32 +123,39 @@ def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     # with edges y_i ± nextafter(ub_i) (and the same in x) holds every j
     # with d_ij <= ub_i; an edge y_i ± ub_i could miss one by rounding.
     ub = np.partition(_nearest_in_runs(xs, ys, col, k), k - 1, axis=1)[:, k - 1]
-    ub = np.nextafter(ub, np.inf)
+    ub_xy = np.partition(_nearest_in_runs(xo, yo, np.zeros(n), k), k - 1, axis=1)[:, k - 1]
+    np.minimum(ub, ub_xy[within], out=ub)
 
-    todo = np.flatnonzero(dups < k)
-    bounds = np.searchsorted(todo, cuts)
-    blocks = [(s, e) for s, e in zip(bounds[:-1], bounds[1:]) if e > s]
-    while blocks:
-        s, e = blocks.pop()
-        rows = todo[s:e]  # one column, in y order
-        r = ub[rows].max()
-        xr = xs[rows]
-        c0 = np.searchsorted(col_xmax, xr.min() - r, side="left")
-        c1 = np.searchsorted(col_xmin, xr.max() + r, side="right")
-        base = np.arange(c0, c1) * (n + 1)
-        lo = np.searchsorted(key, base + np.searchsorted(y_sorted, ys[rows[0]] - r, side="left"))
-        hi = np.searchsorted(key, base + np.searchsorted(y_sorted, ys[rows[-1]] + r, side="right"))
-        size = hi - lo
-        total = int(size.sum())
-        if e - s > 1 and (e - s) * total > _BLOCK_WORK:
-            mid = (s + e) // 2
-            blocks += [(s, mid), (mid, e)]
-            continue
-        cand = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(total)
-        d = np.abs(xr[:, None] - xs[None, cand])
-        np.maximum(d, np.abs(ys[rows, None] - ys[None, cand]), out=d)
-        d[np.arange(len(rows)), np.searchsorted(cand, rows)] = np.inf  # exclude self
-        rho[perm[rows]] = np.partition(d, k - 1, axis=1)[:, k - 1]
+    rows = np.flatnonzero(dups < k)  # in column, y order
+    r = np.nextafter(ub[rows], np.inf)
+    xr, yr = xs[rows], ys[rows]
+    c0 = np.searchsorted(col_xmax, xr - r, side="left")
+    c1 = np.searchsorted(col_xmin, xr + r, side="right")
+    # One (point, column) pair per column within a point's x-reach, its
+    # own column always among them, and one y-slice [lo, hi) per pair.
+    reach = c1 - c0
+    pair_end = np.cumsum(reach)
+    pair_start = pair_end - reach
+    point = np.repeat(np.arange(len(rows)), reach)
+    base = (np.arange(len(point)) - pair_start[point] + c0[point]) * (n + 1)
+    lo = np.searchsorted(key, base + np.searchsorted(y_sorted, yr - r, side="left")[point])
+    hi = np.searchsorted(key, base + np.searchsorted(y_sorted, yr + r, side="right")[point])
+    size = hi - lo
+    tot = np.add.reduceat(size, pair_start)  # candidates per point, itself included
+    cand_end = np.cumsum(tot)
+
+    s = 0
+    while s < len(rows):  # chunks of points with <= _CHUNK_WORK candidates, or one point
+        e = max(s + 1, int(np.searchsorted(cand_end, cand_end[s] - tot[s] + _CHUNK_WORK, "right")))
+        p = slice(pair_start[s], pair_end[e - 1])
+        sz = size[p]
+        cand = np.repeat(lo[p] - np.cumsum(sz) + sz, sz) + np.arange(sz.sum())
+        me = np.repeat(rows[s:e], tot[s:e])
+        d = np.abs(xs[me] - xs[cand])
+        np.maximum(d, np.abs(ys[me] - ys[cand]), out=d)
+        d[cand == me] = np.inf  # exclude self
+        rho[perm[rows[s:e]]] = _kth_smallest(d, tot[s:e], k)
+        s = e
     return rho, zeros
 
 
@@ -151,14 +179,17 @@ def _marginal_count(a: np.ndarray, radius: np.ndarray, *, inclusive: bool) -> np
     and its ties always counted: with radius 0 the strict ball is i's tie
     set, and a radius below half an ulp of a_i, which rounds a_i ± radius
     back to a_i, cannot drop them."""
-    s = np.sort(a)
+    order = np.argsort(a)  # searchsorted is fastest on sorted queries
+    s, r = a[order], radius[order]
     if inclusive:  # a_i - radius <= a_i <= a_i + radius: the ties are in
-        hi = np.searchsorted(s, a + radius, side="right")
-        lo = np.searchsorted(s, a - radius, side="left")
+        hi = np.searchsorted(s, s + r, side="right")
+        lo = np.searchsorted(s, s - r, side="left")
     else:  # widened to a_i's tie bounds
-        hi = np.maximum(np.searchsorted(s, a + radius, side="left"), np.searchsorted(s, a, "right"))
-        lo = np.minimum(np.searchsorted(s, a - radius, side="right"), np.searchsorted(s, a, "left"))
-    return hi - lo
+        hi = np.maximum(np.searchsorted(s, s + r, side="left"), np.searchsorted(s, s, "right"))
+        lo = np.minimum(np.searchsorted(s, s - r, side="right"), np.searchsorted(s, s, "left"))
+    count = np.empty(len(a), dtype=hi.dtype)
+    count[order] = hi - lo
+    return count
 
 
 def mi_mixed_ksg(x: np.ndarray, y: np.ndarray, k: int = 3) -> float:

@@ -116,12 +116,26 @@ def test_joint_knn_equals_all_pairs(sample):
     _assert_joint_matches(*sample)
 
 
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_samples())
+def test_joint_knn_equals_all_pairs_in_small_chunks(sample):
+    # A cap of 7 distances: a chunk holds one point or a few, and a
+    # point with more candidates than the cap is a chunk of its own.
+    with mock.patch.object(knn, "_CHUNK_WORK", 7):
+        _assert_joint_matches(*sample)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(_samples(), st.integers(1, 12))
 def test_class_knn_equals_all_pairs(sample, n_classes):
     x, y, k = sample
     codes = pd.factorize(np.floor(np.abs(x)) % n_classes)[0]
     _assert_class_matches(codes, y, k)
+
+
+def _cdunif(n, m, rng):
+    x = rng.integers(0, m, n).astype(np.float64)
+    return x, x + rng.uniform(0.0, 2.0, n)
 
 
 def _fixed(kind, n=5000):
@@ -133,11 +147,15 @@ def _fixed(kind, n=5000):
         return z, 0.9 * z + np.sqrt(1 - 0.81) * rng.normal(size=n)
     if kind == "tied_grid":
         return rng.integers(0, 5, n).astype(np.float64), rng.integers(0, 7, n).astype(np.float64)
+    if kind == "cdunif_m100":
+        return _cdunif(n, 100, rng)
     x = rng.integers(0, 16, n).astype(np.float64)  # CDUnif, m = 16
     return x, x + rng.uniform(0.0, 2.0, n)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "correlated_gaussian", "tied_grid", "cdunif"])
+@pytest.mark.parametrize(
+    "kind", ["gaussian", "correlated_gaussian", "tied_grid", "cdunif", "cdunif_m100"]
+)
 def test_fixed_5k_inputs_equal_all_pairs(kind):
     x, y = _fixed(kind)
     _assert_joint_matches(x, y, 3)
@@ -154,3 +172,43 @@ def test_neighbour_rounded_onto_the_bound_is_a_candidate(swap):
     x, y = (b, a) if swap else (a, b)
     assert knn._joint_knn(x, y, 1)[0][0] == 1.0
     _assert_joint_matches(x, y, 1)
+
+
+def _sort_order_bound(x, y, k):
+    """Per point, its k-th distance to the k points on either side of it
+    in the (x, y) sort."""
+    order = np.lexsort((y, x))
+    near = np.full((len(x), 2 * k), np.inf)
+    for t in range(1, k + 1):
+        d = np.maximum(np.abs(x[order[t:]] - x[order[:-t]]), np.abs(y[order[t:]] - y[order[:-t]]))
+        near[order[:-t], 2 * t - 2] = d
+        near[order[t:], 2 * t - 1] = d
+    return np.partition(near, k - 1, axis=1)[:, k - 1]
+
+
+def test_the_sort_order_bound_binds_on_cdunif_m100():
+    # 50 points per x value, and an x-column of >= sqrt(5000 * 3) points
+    # holds about 3 of them, whose y ranges [x, x + 2] overlap: a point's
+    # y-order neighbours in its column are mostly one x-gap away, while
+    # its (x, y) sort neighbours share its x and bound rho tightly, so
+    # test_fixed_5k_inputs_equal_all_pairs[cdunif_m100] checks the
+    # search where that bound sets the boxes.
+    x, y = _fixed("cdunif_m100")
+    rho = _brute_joint_knn(x, y, 3)[0]
+    assert np.mean(_sort_order_bound(x, y, 3) == rho) > 0.9
+
+
+def test_joint_knn_computes_at_most_8_distances_per_point_on_cdunif_20k():
+    # The k-th smallest step sees every candidate distance the search
+    # computes: at most 8 per point here (65 with the column bound alone).
+    x, y = _cdunif(20000, 100, np.random.default_rng(0))
+    seen = []
+
+    def spy(d, counts, k):
+        seen.append(len(d))
+        return kth_smallest(d, counts, k)
+
+    kth_smallest = knn._kth_smallest
+    with mock.patch.object(knn, "_kth_smallest", spy):
+        knn._joint_knn(x, y, 3)
+    assert 0 < sum(seen) <= 8 * len(x)
