@@ -24,6 +24,7 @@ from repro.synthgen import cdunif, decompose
 
 N_VALUES = (5_000, 10_000, 20_000)
 SKETCH_N = 256
+_CALLS = 51  # timed calls per operation, after one warm-up call
 
 
 def make_dataset(n_rows: int, *, m: int = 100, seed: int = 0):
@@ -33,15 +34,16 @@ def make_dataset(n_rows: int, *, m: int = 100, seed: int = 0):
     return decompose(x, y, "keydep")
 
 
-def _timed(fn, repeat: int = 5) -> tuple[float, object]:
-    """Best-of-``repeat`` wall time in milliseconds, plus the result."""
-    best = float("inf")
-    result = None
-    for _ in range(repeat):
+def _timed(fn) -> tuple[float, object]:
+    """Median wall time in milliseconds of ``_CALLS`` calls after one
+    warm-up call, plus the result."""
+    result = fn()
+    ms = []
+    for _ in range(_CALLS):
         t0 = time.perf_counter()
         result = fn()
-        best = min(best, (time.perf_counter() - t0) * 1000.0)
-    return best, result
+        ms.append((time.perf_counter() - t0) * 1000.0)
+    return float(np.median(ms)), result
 
 
 def measure(*, n_values=N_VALUES, n: int = SKETCH_N, method: str = "tupsk") -> pd.DataFrame:
@@ -60,10 +62,10 @@ def measure(*, n_values=N_VALUES, n: int = SKETCH_N, method: str = "tupsk") -> p
             lambda: full_join_pairs_pandas(pair.train, pair.cand, "avg")
         )
         full_mi_ms, _ = _timed(
-            lambda: estimate_mi(fx.astype(float), fy.astype(float), "mixed_ksg"), repeat=3
+            lambda: estimate_mi(fx.astype(float), fy.astype(float), "mixed_ksg")
         )
         sketch_mi_ms, _ = _timed(
-            lambda: estimate_mi(sx.astype(float), sy.astype(float), "mixed_ksg"), repeat=3
+            lambda: estimate_mi(sx.astype(float), sy.astype(float), "mixed_ksg")
         )
         rows.append(
             {

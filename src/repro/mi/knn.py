@@ -51,6 +51,13 @@ def _nearest_in_runs(a: np.ndarray, b: np.ndarray, run: np.ndarray, k: int) -> n
     return near
 
 
+def _kth_nearest_in_runs(a: np.ndarray, b: np.ndarray, run: np.ndarray, k: int) -> np.ndarray:
+    """The k-th smallest of :func:`_nearest_in_runs` per position."""
+    near = _nearest_in_runs(a, b, run, k)
+    near.partition(k - 1, axis=1)
+    return near[:, k - 1].copy()
+
+
 def _column_cuts(xo: np.ndarray, m: int) -> np.ndarray:
     """Start positions (and the end) of x-columns over sorted ``xo``: each
     holds >= m points, the last one the tail, and a cut falls only where x
@@ -83,6 +90,58 @@ def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _candidate_slices(x: np.ndarray, y: np.ndarray, k: int):
+    """The box search of :func:`_joint_knn`, in a function of its own so
+    that the sorts, bounds and searches it needs are freed before the
+    distances are computed.
+
+    Returns each point's duplicate count ``zeros`` in input order,
+    ``perm`` (column-sorted position -> input index), the column-sorted
+    ``xs`` and ``ys``, the positions ``rows`` to search, and per searched
+    point its (point, column) pairs ``pair_start:pair_end`` into the
+    y-slices ``lo, lo + size`` of the column-sorted arrays.
+    """
+    n = len(x)
+    order = np.lexsort((y, x))
+    xo, yo = x[order], y[order]
+    group = np.cumsum(np.r_[True, (xo[1:] != xo[:-1]) | (yo[1:] != yo[:-1])])
+    dups = np.bincount(group)[group] - 1
+    zeros = np.empty(n, dtype=np.int64)
+    zeros[order] = dups
+    cuts = _column_cuts(xo, max(k + 1, int(np.sqrt(n * k))))
+    col = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    within = np.lexsort((xo, yo, col))
+    perm = order[within]  # sorted position -> input index
+    xs, ys = x[perm], y[perm]
+    col_xmin, col_xmax = xo[cuts[:-1]], xo[cuts[1:] - 1]
+    # (column, rank of y) as one sorted int64 key, so that one
+    # searchsorted finds a y-slice in every column at once.
+    y_sorted = np.sort(y)
+    key = col * (n + 1) + np.searchsorted(y_sorted, ys, side="left")
+    # ub_i >= rho_i. fl|y_j - y_i| <= ub_i implies |y_j - y_i| <
+    # nextafter(ub_i) exactly, and float addition is monotone, so a box
+    # with edges y_i ± nextafter(ub_i) (and the same in x) holds every j
+    # with d_ij <= ub_i; an edge y_i ± ub_i could miss one by rounding.
+    ub = _kth_nearest_in_runs(xs, ys, col, k)
+    np.minimum(ub, _kth_nearest_in_runs(xo, yo, np.zeros(n), k)[within], out=ub)
+
+    rows = np.flatnonzero(dups[within] < k)  # in column, y order
+    r = np.nextafter(ub[rows], np.inf)
+    xr, yr = xs[rows], ys[rows]
+    c0 = np.searchsorted(col_xmax, xr - r, side="left")
+    c1 = np.searchsorted(col_xmin, xr + r, side="right")
+    # One (point, column) pair per column within a point's x-reach, its
+    # own column always among them, and one y-slice [lo, hi) per pair.
+    reach = c1 - c0
+    pair_end = np.cumsum(reach)
+    pair_start = pair_end - reach
+    point = np.repeat(np.arange(len(rows)), reach)
+    base = (np.arange(len(point)) - pair_start[point] + c0[point]) * (n + 1)
+    lo = np.searchsorted(key, base + np.searchsorted(y_sorted, yr - r, side="left")[point])
+    hi = np.searchsorted(key, base + np.searchsorted(y_sorted, yr + r, side="right")[point])
+    return zeros, perm, xs, ys, rows, pair_start, pair_end, lo, hi - lo
+
+
 def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per point, in input order: the k-th NN Chebyshev distance in
     (x, y), and the count of exact duplicates (d_ij == 0, j != i).
@@ -99,50 +158,10 @@ def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     every column within the box's x-reach, found for all points at once,
     and rho is the k-th smallest candidate distance.
     """
-    n = len(x)
-    order = np.lexsort((y, x))
-    xo, yo = x[order], y[order]
-    group = np.cumsum(np.r_[True, (xo[1:] != xo[:-1]) | (yo[1:] != yo[:-1])])
-    dups = np.bincount(group)[group] - 1
-    zeros = np.empty(n, dtype=np.int64)
-    zeros[order] = dups
-    rho = np.zeros(n)
-
-    cuts = _column_cuts(xo, max(k + 1, int(np.sqrt(n * k))))
-    col = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
-    within = np.lexsort((xo, yo, col))
-    perm = order[within]  # sorted position -> input index
-    xs, ys, dups = x[perm], y[perm], dups[within]
-    col_xmin, col_xmax = xo[cuts[:-1]], xo[cuts[1:] - 1]
-    # (column, rank of y) as one sorted int64 key, so that one
-    # searchsorted finds a y-slice in every column at once.
-    y_sorted = np.sort(y)
-    key = col * (n + 1) + np.searchsorted(y_sorted, ys, side="left")
-    # ub_i >= rho_i. fl|y_j - y_i| <= ub_i implies |y_j - y_i| <
-    # nextafter(ub_i) exactly, and float addition is monotone, so a box
-    # with edges y_i ± nextafter(ub_i) (and the same in x) holds every j
-    # with d_ij <= ub_i; an edge y_i ± ub_i could miss one by rounding.
-    ub = np.partition(_nearest_in_runs(xs, ys, col, k), k - 1, axis=1)[:, k - 1]
-    ub_xy = np.partition(_nearest_in_runs(xo, yo, np.zeros(n), k), k - 1, axis=1)[:, k - 1]
-    np.minimum(ub, ub_xy[within], out=ub)
-
-    rows = np.flatnonzero(dups < k)  # in column, y order
-    r = np.nextafter(ub[rows], np.inf)
-    xr, yr = xs[rows], ys[rows]
-    c0 = np.searchsorted(col_xmax, xr - r, side="left")
-    c1 = np.searchsorted(col_xmin, xr + r, side="right")
-    # One (point, column) pair per column within a point's x-reach, its
-    # own column always among them, and one y-slice [lo, hi) per pair.
-    reach = c1 - c0
-    pair_end = np.cumsum(reach)
-    pair_start = pair_end - reach
-    point = np.repeat(np.arange(len(rows)), reach)
-    base = (np.arange(len(point)) - pair_start[point] + c0[point]) * (n + 1)
-    lo = np.searchsorted(key, base + np.searchsorted(y_sorted, yr - r, side="left")[point])
-    hi = np.searchsorted(key, base + np.searchsorted(y_sorted, yr + r, side="right")[point])
-    size = hi - lo
+    zeros, perm, xs, ys, rows, pair_start, pair_end, lo, size = _candidate_slices(x, y, k)
     tot = np.add.reduceat(size, pair_start)  # candidates per point, itself included
     cand_end = np.cumsum(tot)
+    rho = np.zeros(len(x))
 
     s = 0
     while s < len(rows):  # chunks of points with <= _CHUNK_WORK candidates, or one point

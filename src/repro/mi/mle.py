@@ -23,15 +23,18 @@ def _codes(x: np.ndarray) -> np.ndarray:
     return codes
 
 
+def _entropy_of_counts(counts: np.ndarray) -> float:
+    """Plug-in entropy (nats) from the positive counts of each value."""
+    p = counts / counts.sum()
+    return float(-(p * np.log(p)).sum())
+
+
 def entropy_mle(x: np.ndarray) -> float:
     """Plug-in empirical entropy (nats) of a discrete sample."""
     x = np.asarray(x)
     if len(x) == 0:
         return 0.0
-    counts = np.bincount(_codes(x))
-    counts = counts[counts > 0]
-    p = counts / counts.sum()
-    return float(-(p * np.log(p)).sum())
+    return _entropy_of_counts(np.bincount(_codes(x)))
 
 
 def mi_mle(x: np.ndarray, y: np.ndarray) -> float:
@@ -46,10 +49,12 @@ def mi_mle(x: np.ndarray, y: np.ndarray) -> float:
         raise ValueError("x and y must be the same length")
     if len(x) == 0:
         return 0.0
+    # Codes are dense, so bincount counts each side without a second
+    # factorize; the joint codes are not.
     cx = _codes(x).astype(np.int64)
     cy = _codes(y).astype(np.int64)
     joint = cx * (cy.max() + 1) + cy
-    hx = entropy_mle(cx)
-    hy = entropy_mle(cy)
-    hxy = entropy_mle(joint)
+    hx = _entropy_of_counts(np.bincount(cx))
+    hy = _entropy_of_counts(np.bincount(cy))
+    hxy = _entropy_of_counts(np.bincount(_codes(joint)))
     return max(0.0, hx + hy - hxy)

@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,3 +101,28 @@ def test_mi_nonnegative_and_bounded(m, n):
     y = rng.integers(0, m, n)
     mi = mi_mle(x, y)
     assert 0.0 <= mi <= min(entropy_mle(x), entropy_mle(y)) + 1e-9
+
+
+def _mi_mle_by_entropies(x, y):
+    """mi_mle as H(X) + H(Y) - H(X,Y) with entropy_mle on each code array."""
+    cx = pd.factorize(np.asarray(x), use_na_sentinel=False)[0].astype(np.int64)
+    cy = pd.factorize(np.asarray(y), use_na_sentinel=False)[0].astype(np.int64)
+    joint = cx * (cy.max() + 1) + cy
+    return max(0.0, entropy_mle(cx) + entropy_mle(cy) - entropy_mle(joint))
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("kind", ["str", "int", "float"])
+def test_mi_mle_equals_entropy_sum_bytes(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    a = rng.integers(0, int(rng.integers(1, 30)), n)
+    b = (a + rng.integers(0, 4, n)) % 17
+    if kind == "str":
+        x, y = a.astype(str).astype(object), np.array([f"v{v}" for v in b], object)
+        x[rng.random(n) < 0.1] = None
+    elif kind == "int":
+        x, y = a * 1_000_003 - 7, b
+    else:
+        x, y = a / 3.0, np.where(rng.random(n) < 0.1, np.nan, b * 0.5)
+    assert np.float64(mi_mle(x, y)).tobytes() == np.float64(_mi_mle_by_entropies(x, y)).tobytes()
