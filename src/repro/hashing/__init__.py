@@ -5,49 +5,42 @@ Public API:
 * :func:`hash_keys` — ``h``: canonical-encode values and MurmurHash3
   them to ``uint32`` integer keys.
 * :func:`u01` — ``h_u``: Fibonacci-hash integers to uniform [0, 1).
-* :func:`tuple_u01` — ``h_u(h(<k, j>))`` for occurrence tuples, the
-  TUPSK sampling coordinate.
+* :func:`tuple_u01` — ``h_u(h(<a, b>))``, the pair hash: TUPSK's
+  occurrence tuple ``<h(k), j>`` and INDSK's salted ``<rid, salt>``.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .encode import encode_values
-from .murmur3 import murmur3_32, murmur3_32_batch, murmur3_32_u32pair
-from .uniform import fibonacci_u01
+from .murmur3 import murmur3_32, murmur3_32_words
 
-__all__ = [
-    "encode_values",
-    "murmur3_32",
-    "murmur3_32_batch",
-    "murmur3_32_u32pair",
-    "fibonacci_u01",
-    "hash_keys",
-    "u01",
-    "tuple_u01",
-]
+__all__ = ["encode_values", "murmur3_32", "murmur3_32_words", "hash_keys", "u01", "tuple_u01"]
+
+_GOLDEN64 = np.uint64(0x9E3779B97F4A7C15)
 
 
 def hash_keys(values: np.ndarray) -> np.ndarray:
     """``h(k)``: uint32 MurmurHash3 of each canonical-encoded value."""
-    values = np.asarray(values)
-    if len(values) == 0:
-        return np.empty(0, dtype=np.uint32)
     padded, lengths = encode_values(values)
-    return murmur3_32_batch(padded, lengths)
+    return murmur3_32_words(np.ascontiguousarray(padded.view("<u4").T), lengths)
 
 
 def u01(hashes: np.ndarray) -> np.ndarray:
-    """``h_u``: map integer hashes to uniform [0, 1)."""
-    return fibonacci_u01(np.asarray(hashes, dtype=np.uint64))
+    """``h_u``: Fibonacci (Knuth multiplicative) hashing to [0, 1): the
+    wrapped product with the 64-bit golden ratio, read as a 64-bit fraction."""
+    with np.errstate(over="ignore"):
+        mixed = np.asarray(hashes, dtype=np.uint64) * _GOLDEN64
+    return mixed.astype(np.float64) * 2.0**-64
 
 
-def tuple_u01(key_hashes: np.ndarray, occurrence: np.ndarray) -> np.ndarray:
-    """``h_u(h(<k, j>))`` — the TUPSK per-row sampling coordinate.
+def tuple_u01(a: np.ndarray, b) -> np.ndarray:
+    """``h_u(h(<a, b>))``: MurmurHash3 of the 8 bytes ``LE32(a) || LE32(b)``.
 
-    ``key_hashes`` are uint32 ``h(k)`` values; ``occurrence`` is the
-    1-based occurrence index ``j`` of the key within its table.
+    ``a`` is ``h(k)`` and ``b`` the 1-based occurrence ``j`` for TUPSK,
+    or ``a`` a row id or key hash and ``b`` a scalar salt for INDSK.
+    Each side wraps to its low 32 bits.
     """
-    kh = np.asarray(key_hashes, dtype=np.uint32)
-    j = np.asarray(occurrence, dtype=np.uint32)
-    return u01(murmur3_32_u32pair(kh, j))
+    # 1-d, so a scalar salt wraps in array math (numpy scalar math warns).
+    words = [np.atleast_1d(np.asarray(w).astype(np.uint32)) for w in (a, b)]
+    return u01(murmur3_32_words(words, 8))

@@ -1,21 +1,18 @@
-"""Vectorized 32-bit MurmurHash3 (x86_32 variant).
+"""32-bit MurmurHash3 (x86_32 variant), seed 0 on the hot path.
 
 The paper (Section IV, "Approach Overview") uses MurmurHash3 as the
 collision-free-in-practice hash ``h`` that maps join-key values to
 integers before they are fed to the uniform hash ``h_u``. No murmur
-library ships in this container, so we implement the reference
-algorithm twice:
+library ships with the project's dependencies, so the reference
+algorithm is implemented twice:
 
-* :func:`murmur3_32` — scalar pure-Python reference (used in tests and
-  as documentation of the algorithm);
-* :func:`murmur3_32_batch` — numpy-vectorized over a padded byte
-  matrix, used by the sketch builders (hot path);
-* :func:`murmur3_32_u32pair` — fully vectorized fixed-width variant
-  over two ``uint32`` lanes, used for the occurrence-tuple hash
-  ``h(<k, j>)`` (Section IV-B) and for salted row hashes.
+* :func:`murmur3_32` — scalar pure-Python reference with a seed, the
+  test oracle;
+* :func:`murmur3_32_words` — the one vectorized kernel, over rows given
+  as little-endian uint32 words. ``hash_keys`` feeds it the encoded
+  key bytes and ``tuple_u01`` the two words of a pair ``<a, b>``.
 
-All functions return ``uint32`` values identical to the canonical
-MurmurHash3_x86_32 for the same byte input.
+Both return values identical to the canonical MurmurHash3_x86_32.
 """
 from __future__ import annotations
 
@@ -35,27 +32,21 @@ def _rotl32_scalar(x: int, r: int) -> int:
     return ((x << r) | (x >> (32 - r))) & _MASK32
 
 
+def _mix_k_scalar(k: int) -> int:
+    k = (k * 0xCC9E2D51) & _MASK32
+    return (_rotl32_scalar(k, 15) * 0x1B873593) & _MASK32
+
+
 def murmur3_32(data: bytes, seed: int = 0) -> int:
     """Scalar reference MurmurHash3_x86_32 of ``data`` with ``seed``."""
     h = seed & _MASK32
     n_blocks = len(data) // 4
     for i in range(n_blocks):
-        k = int.from_bytes(data[4 * i : 4 * i + 4], "little")
-        k = (k * 0xCC9E2D51) & _MASK32
-        k = _rotl32_scalar(k, 15)
-        k = (k * 0x1B873593) & _MASK32
-        h ^= k
-        h = _rotl32_scalar(h, 13)
-        h = (h * 5 + 0xE6546B64) & _MASK32
+        h ^= _mix_k_scalar(int.from_bytes(data[4 * i : 4 * i + 4], "little"))
+        h = (_rotl32_scalar(h, 13) * 5 + 0xE6546B64) & _MASK32
     tail = data[4 * n_blocks :]
-    k = 0
-    for i, b in enumerate(tail):
-        k |= b << (8 * i)
     if tail:
-        k = (k * 0xCC9E2D51) & _MASK32
-        k = _rotl32_scalar(k, 15)
-        k = (k * 0x1B873593) & _MASK32
-        h ^= k
+        h ^= _mix_k_scalar(int.from_bytes(tail, "little"))
     h ^= len(data)
     h ^= h >> 16
     h = (h * 0x85EBCA6B) & _MASK32
@@ -70,81 +61,29 @@ def _rotl32(x: np.ndarray, r: int) -> np.ndarray:
 
 
 def _mix_k(k: np.ndarray) -> np.ndarray:
-    k = k * _C1
-    k = _rotl32(k, 15)
-    return k * _C2
+    return _rotl32(k * _C1, 15) * _C2
 
 
-def _fmix(h: np.ndarray) -> np.ndarray:
+def murmur3_32_words(words, nbytes) -> np.ndarray:
+    """Vectorized MurmurHash3_x86_32 (seed 0) of rows given as words.
+
+    ``words[i]`` is the i-th little-endian uint32 word of every row, a
+    contiguous column, and zero past each row's byte length ``nbytes``
+    (one per row, or a scalar for all rows). The full words get a body
+    round and the word at ``nbytes // 4`` the tail round; past that the
+    words are zero, and ``mix_k(0) == 0`` leaves ``h`` as it is.
+    """
+    nbytes = np.asarray(nbytes).astype(np.uint32)
+    n_full = nbytes >> np.uint32(2)
+    h = np.uint32(0)
+    for i, k in enumerate(words):
+        h = h ^ _mix_k(k)
+        full = i < n_full
+        body = _rotl32(h, 13) * _M5 + _N
+        h = body if full.all() else np.where(full, body, h)
+    h = h ^ nbytes
     h = h ^ (h >> np.uint32(16))
     h = h * _F1
     h = h ^ (h >> np.uint32(13))
     h = h * _F2
     return h ^ (h >> np.uint32(16))
-
-
-def murmur3_32_batch(padded: np.ndarray, lengths: np.ndarray, seed: int = 0) -> np.ndarray:
-    """Vectorized MurmurHash3_x86_32 over rows of a padded byte matrix.
-
-    ``padded`` is ``(n, max_len)`` uint8 (zero-padded past each row's
-    length); ``lengths`` is ``(n,)`` with the true byte length of each
-    row. Rows shorter than the pad width hash exactly as the reference
-    implementation hashes their true-length byte string.
-    """
-    padded = np.ascontiguousarray(padded, dtype=np.uint8)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    n, width = padded.shape
-    h = np.full(n, np.uint32(seed & _MASK32), dtype=np.uint32)
-    p32 = padded.astype(np.uint32)
-    n_blocks_per_row = lengths // 4
-    for blk in range(width // 4 + (1 if width % 4 else 0)):
-        base = 4 * blk
-        if base >= width:
-            break
-        active = n_blocks_per_row > blk
-        if not active.any():
-            break
-        # Little-endian 4-byte word; rows past the pad never get here
-        # because lengths <= width.
-        b0 = p32[:, base]
-        b1 = p32[:, base + 1] if base + 1 < width else np.zeros(n, np.uint32)
-        b2 = p32[:, base + 2] if base + 2 < width else np.zeros(n, np.uint32)
-        b3 = p32[:, base + 3] if base + 3 < width else np.zeros(n, np.uint32)
-        k = b0 | (b1 << np.uint32(8)) | (b2 << np.uint32(16)) | (b3 << np.uint32(24))
-        hk = h ^ _mix_k(k)
-        hk = _rotl32(hk, 13)
-        hk = hk * _M5 + _N
-        h = np.where(active, hk, h)
-    # Tail: the len % 4 trailing bytes.
-    tail_len = (lengths % 4).astype(np.int64)
-    tail_start = 4 * n_blocks_per_row
-    has_tail = tail_len > 0
-    if has_tail.any():
-        idx = np.minimum(tail_start, width - 1)
-        k = np.zeros(n, dtype=np.uint32)
-        for byte_i in range(3):
-            sel = tail_len > byte_i
-            pos = np.minimum(idx + byte_i, width - 1)
-            b = p32[np.arange(n), pos]
-            k = np.where(sel, k | (b << np.uint32(8 * byte_i)), k)
-        h = np.where(has_tail, h ^ _mix_k(k), h)
-    h = h ^ lengths.astype(np.uint32)
-    return _fmix(h)
-
-
-def murmur3_32_u32pair(a: np.ndarray, b: np.ndarray, seed: int = 0) -> np.ndarray:
-    """MurmurHash3_x86_32 of the 8-byte message ``LE(a) || LE(b)``.
-
-    Fixed two-block body with no tail — fully vectorized. Used for the
-    occurrence-tuple keys ``<k, j>`` of TUPSK (Section IV-B): ``a`` is
-    ``h(k)`` and ``b`` is the occurrence index ``j``.
-    """
-    a = np.asarray(a, dtype=np.uint32)
-    b = np.asarray(b, dtype=np.uint32)
-    h = np.full(a.shape, np.uint32(seed & _MASK32), dtype=np.uint32)
-    for k in (a, b):
-        h = h ^ _mix_k(k)
-        h = _rotl32(h, 13)
-        h = h * _M5 + _N
-    h = h ^ np.uint32(8)
-    return _fmix(h)

@@ -1,6 +1,6 @@
 """Synthetic open-data corpora + type inference (paper Section V-C)."""
 from .corpus import NYC, SPECS, WBF, CollectionSpec, PairTables, generate_collection, generate_pair, tall_frames
-from .typeinfer import cast_column, is_numeric_column
+from .typeinfer import cast_column
 
 __all__ = [
     "NYC",
@@ -12,5 +12,4 @@ __all__ = [
     "generate_pair",
     "tall_frames",
     "cast_column",
-    "is_numeric_column",
 ]

@@ -11,11 +11,6 @@ import numpy as np
 import pandas as pd
 
 
-def is_numeric_column(values: np.ndarray | pd.Series) -> bool:
-    """True iff every non-empty value parses as a float."""
-    return cast_column(values).dtype == np.float64
-
-
 def cast_column(values: np.ndarray | pd.Series) -> np.ndarray:
     """Return float64 values when the column is numeric, else the raw
     strings (object dtype). Each value is parsed once."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro import hashing
-from repro.hashing.murmur3 import murmur3_32_u32pair
 
 from .base import Cand, Train, bottom_n
 
@@ -27,17 +26,11 @@ SALT_TRAIN = 0xA5A5A5A5
 SALT_CAND = 0x5A5A5A5A
 
 
-def salted_u01(x: np.ndarray, salt) -> np.ndarray:
-    """``h_u(h(<x, salt>))`` over uint32 ``x``: one side's hash stream."""
-    x = np.asarray(x).astype(np.uint32)
-    return hashing.u01(murmur3_32_u32pair(x, np.broadcast_to(salt, x.shape)))
-
-
 def select_train(train: Train, n: int) -> np.ndarray:
     """Uniform n-subset of the rows by ``rid``, independent of keys and of the cand side."""
-    return bottom_n(salted_u01(train.rid, SALT_TRAIN), n)
+    return bottom_n(hashing.tuple_u01(train.rid, SALT_TRAIN), n)
 
 
 def select_cand(cand: Cand, n: int) -> np.ndarray:
     """Uniform n-subset of the aggregated keys (own salt)."""
-    return bottom_n(salted_u01(cand.key_hash, SALT_CAND), n)
+    return bottom_n(hashing.tuple_u01(cand.key_hash, SALT_CAND), n)

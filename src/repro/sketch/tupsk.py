@@ -22,4 +22,4 @@ def select_train(train: Train, n: int) -> np.ndarray:
 
 def select_cand(cand: Cand, n: int) -> np.ndarray:
     """Keep the n keys minimizing ``h_u(h(<k, 1>))``."""
-    return bottom_n(hashing.tuple_u01(cand.key_hash, np.ones_like(cand.key_hash)), n)
+    return bottom_n(hashing.tuple_u01(cand.key_hash, 1), n)

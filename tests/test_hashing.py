@@ -6,11 +6,11 @@ from repro.hashing import (
     encode_values,
     hash_keys,
     murmur3_32,
-    murmur3_32_batch,
-    murmur3_32_u32pair,
+    murmur3_32_words,
     tuple_u01,
     u01,
 )
+from repro.sketch import indsk
 
 # Canonical MurmurHash3_x86_32 test vectors (reference implementation).
 VECTORS = [
@@ -35,35 +35,113 @@ def test_murmur3_reference_vectors(data, seed, expected):
     assert murmur3_32(data, seed) == expected
 
 
-@pytest.mark.parametrize("seed", [0, 1, 42, 0xDEADBEEF])
 @pytest.mark.parametrize("max_len", [4, 7, 16, 33])
-def test_batch_matches_scalar(seed, max_len):
-    rng = np.random.default_rng(seed + max_len)
-    blobs = [bytes(rng.integers(0, 256, int(l))) for l in rng.integers(0, max_len + 1, 300)]
-    lengths = np.array([len(b) for b in blobs])
-    width = max(4, int(lengths.max()))
+def test_batch_matches_scalar(max_len):
+    """The kernel over zero-padded words hashes every length 0..max_len
+    as the reference hashes the true-length bytes."""
+    rng = np.random.default_rng(max_len)
+    sizes = list(range(max_len + 1)) + rng.integers(0, max_len + 1, 300).tolist()
+    blobs = [rng.integers(0, 256, n, dtype=np.uint8).tobytes() for n in sizes]
+    width = -(-max_len // 4) * 4
     padded = np.zeros((len(blobs), width), np.uint8)
     for i, b in enumerate(blobs):
         padded[i, : len(b)] = np.frombuffer(b, np.uint8)
-    got = murmur3_32_batch(padded, lengths, seed=seed)
-    expected = np.array([murmur3_32(b, seed) for b in blobs], np.uint32)
-    assert (got == expected).all()
+    words = np.ascontiguousarray(padded.view("<u4").T)
+    got = murmur3_32_words(words, np.array(sizes))
+    assert got.tolist() == [murmur3_32(b) for b in blobs]
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-def test_u32pair_matches_scalar(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.integers(0, 2**32, 100, dtype=np.uint64).astype(np.uint32)
-    b = rng.integers(0, 2**32, 100, dtype=np.uint64).astype(np.uint32)
-    got = murmur3_32_u32pair(a, b, seed)
-    expected = np.array(
-        [
-            murmur3_32(int(x).to_bytes(4, "little") + int(y).to_bytes(4, "little"), seed)
-            for x, y in zip(a, b)
-        ],
-        np.uint32,
-    )
-    assert (got == expected).all()
+def _le32(x: int) -> bytes:
+    return (int(x) & 0xFFFFFFFF).to_bytes(4, "little")
+
+
+_RNG = np.random.default_rng(7)
+_A32 = _RNG.integers(0, 2**32, 100, dtype=np.uint64).astype(np.uint32)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        (_A32, _RNG.integers(0, 2**32, 100, dtype=np.uint64).astype(np.uint32)),
+        (_A32, 0xA5A5A5A5),  # a scalar salt broadcasts
+        (np.array([2**32 + 5, 2**40, 2**63 - 1, -1], np.int64), 0xA5A5A5A5),  # wraps to 32 bits
+    ],
+)
+def test_tuple_u01_matches_scalar(a, b):
+    """``tuple_u01(a, b)`` is ``u01`` of the reference hash of
+    ``LE32(a) || LE32(b)``."""
+    bs = np.broadcast_to(b, np.shape(a))
+    expected = u01(np.array([murmur3_32(_le32(x) + _le32(y)) for x, y in zip(a, bs)]))
+    assert (tuple_u01(a, b) == expected).all()
+
+
+# ``hash_keys`` and ``tuple_u01`` pinned to constants: a change to the
+# encoding, its padding or the word order fails here even where the
+# kernel still matches the reference on its own output.
+GOLDEN_KEYS = [
+    (np.array([0, 1, -1, 42, 2**31, 2**32 + 7, 2**53 + 1, -(2**63), 2**63 - 1], np.int64),
+     [1669671676, 1392991556, 1651860712, 1871679806, 386683422, 3926268470, 2321329414,
+      1366273829, 2188461247]),
+    (np.array([0, 5, 2**63 - 1], np.uint64), [1669671676, 1740791543, 2188461247]),
+    (np.array([0.0, -0.0, 1.0, -2.0, 1.5, np.nan, np.inf, -np.inf, 1e300, 2.0**62, 2.0**63, 0.1]),
+     [1669671676, 1669671676, 1392991556, 2856891269, 4025916689, 605416826, 1234765051,
+      3600711109, 773934260, 3145138138, 1916494174, 4292301820]),
+    (np.array(["", "a", "ab", "abc", "abcd", "abcde", "hello world", "ünïcödé", "日本語", "x" * 33], object),
+     [0, 1009084850, 2613040991, 3017643002, 1139631978, 3902511862, 1586663183, 2069557956,
+      2779017879, 4243188946]),
+    (np.array([None, True, False], object), [3069107721, 954397288, 1116623846]),
+    (np.array([3.0, 2.5, np.nan, 7, "7", True, None, np.int32(5), np.float32(2.0), 2**63 - 1,
+               -(2**63), "key_0001"], object),
+     [2738575283, 10363030, 605416826, 4157363267, 602572328, 954397288, 3069107721, 1740791543,
+      3323962100, 2188461247, 1366273829, 1009420859]),
+]
+
+
+@pytest.mark.parametrize("values,expected", GOLDEN_KEYS)
+def test_hash_keys_golden(values, expected):
+    assert hash_keys(values).tolist() == expected
+
+
+def test_tuple_u01_golden():
+    kh = hash_keys(np.array(["k", "k", "k", 1, 2.0], object))
+    assert kh.tolist() == [3485312465, 3485312465, 3485312465, 1392991556, 3323962100]
+    assert tuple_u01(kh, np.array([1, 2, 3, 1, 1])).tolist() == [
+        0.9613356346883378, 0.7308955806405926, 0.840627235199767, 0.9938168780920573,
+        0.38010285463929494,
+    ]
+    rid = np.array([0, 1, 2, 1000, 2**32 + 5, 2**40, -1], np.int64)
+    assert tuple_u01(rid, indsk.SALT_TRAIN).tolist() == [
+        0.3735375483516623, 0.7332000519902989, 0.2954178022875766, 0.10946286115276076,
+        0.6437487307369193, 0.3735375483516623, 0.7518750148027011,
+    ]
+    assert tuple_u01(kh, indsk.SALT_CAND).tolist() == [
+        0.09066267011164807, 0.09066267011164807, 0.09066267011164807, 0.45972414195535677,
+        0.33062723224548973,
+    ]
+
+
+@pytest.mark.parametrize(
+    "typed",
+    [
+        np.array([2**63, 2**64 - 1, 2**63 - 1], np.uint64),
+        np.array([2**63 - 1, -(2**63)], np.int64),
+        np.array([-(2.0**63), 2.0**63]),
+    ],
+)
+def test_int64_bounds_encode_alike(typed):
+    """One int64 range, ``-2^63 <= v < 2^63``, for typed arrays and for
+    scalars in object arrays: outside it a value hashes as its string."""
+    alone = [hash_keys(np.array([v], object))[0] for v in typed]
+    assert hash_keys(typed).tolist() == alone
+    assert hash_keys(typed.astype(object)).tolist() == alone
+
+
+def test_int64_bounds_values():
+    as_str = lambda v: hash_keys(np.array([str(v)], object))[0]  # noqa: E731
+    as_int = lambda v: hash_keys(np.array([v], np.int64))[0]  # noqa: E731
+    assert hash_keys(np.array([2**63], np.uint64))[0] == as_str(2**63)
+    assert hash_keys(np.array([-(2.0**63)]))[0] == as_int(-(2**63))
+    assert hash_keys(np.array([2.0**63]))[0] == as_str(2.0**63)
 
 
 def test_encode_int_and_integral_float_agree():

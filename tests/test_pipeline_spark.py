@@ -285,7 +285,7 @@ COLLIDING = (2234804754311803321, 365261526549838661)
 def _tie_coord(method: str, side: str, kh: np.ndarray) -> np.ndarray | None:
     """The coordinate a single-row key is selected by (None: not by key)."""
     if method == "indsk":
-        return None if side == "train" else indsk.salted_u01(kh, indsk.SALT_CAND)
+        return None if side == "train" else hashing.tuple_u01(kh, indsk.SALT_CAND)
     if method == "tupsk":
         return hashing.tuple_u01(kh, np.ones_like(kh))
     return hashing.u01(kh)  # KMV; PRISK's priority 1 / u orders the same way
