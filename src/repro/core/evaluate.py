@@ -48,8 +48,8 @@ def full_join_pairs_pandas(
     """Aggregate-then-left-join in pandas, NULL rows dropped.
 
     Equivalent to ``repro.core.fulljoin.augment`` (oracle-checked in
-    the tests); used inside Spark tasks where nested Spark calls are
-    unavailable.
+    the tests); the §V-D timing, the benchmark and the tests run it.
+    ``evaluate_pair`` joins its own prepared candidate side instead.
     """
     aug = aggregate_cand(cand["key"].to_numpy(), cand["x"].to_numpy(), agg)
     return _join_aug(train, aug["key"].to_numpy(), aug["value"].to_numpy())
@@ -84,7 +84,7 @@ def evaluate_pair(
     rng = np.random.default_rng(1_000_003 * (pair_id + 1))
     # Each side is prepared once; every method selects from it, and the
     # full join reuses the candidate side's AGG.
-    train_side = Train(train["key"].to_numpy(), train["y"].to_numpy())
+    train_side = Train(train["key"].to_numpy(), train["y"].to_numpy(), train["rid"].to_numpy())
     cand_sides = {  # CSK's own AGG (FIRST) adds a side
         a: Cand(cand["key"].to_numpy(), cand["x"].to_numpy(), a)
         for a in {agg, *(cand_agg(m, agg) for m in methods)}

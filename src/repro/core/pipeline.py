@@ -20,7 +20,7 @@ worker. Rows need a stable row id (``rid``) to define ``j``.
 
 :func:`map_key_partitions` is that partition step, for both builders
 and for ``repro.core.fulljoin.featurize``. It and :func:`_union` are
-the one Spark -> pandas hand-off, and it is exact: an integer column
+their Spark -> pandas hand-off, and it is exact: an integer column
 holding a NULL arrives as Python ints and ``None``, not float64.
 """
 from __future__ import annotations
@@ -35,12 +35,6 @@ from pyspark.sql.pandas.types import to_arrow_schema
 from repro.sketch import SELECTORS, Cand, Sketch, Train, aggregate_cand, cand_agg
 
 _COUNTS = [T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p")]
-
-
-def _selectors(method: str):
-    if method not in SELECTORS:
-        raise ValueError(f"unknown sketch method {method!r}")
-    return SELECTORS[method]
 
 
 def agg_field(rows: DataFrame, agg: str) -> T.StructField:
@@ -84,7 +78,7 @@ def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
     """The rows each key-partition's train selector keeps, with the
     first row of each of their keys, ``j``, ``n_k`` and, on a
     partition's first row (0 on the rest), its row count ``n_p``."""
-    select = _selectors(method)[0]
+    select = SELECTORS[method][0]
 
     def local(pdf):
         train = Train(pdf["key"].to_numpy(), pdf["y"].to_numpy(), pdf["rid"].to_numpy())
@@ -107,7 +101,7 @@ def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
 def _cand_pass(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> DataFrame:
     """The keys each key-partition's cand selector keeps, with their AGG
     value and the ``rid`` of their first row."""
-    select = _selectors(method)[1]
+    select = SELECTORS[method][1]
     agg = cand_agg(method, agg)
 
     def local(pdf):

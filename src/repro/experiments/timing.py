@@ -27,10 +27,11 @@ SKETCH_N = 256
 _CALLS = 51  # timed calls per operation, after one warm-up call
 
 
-def make_dataset(n_rows: int, *, m: int = 100, seed: int = 0):
-    """One KeyDep CDUnif pair (repeated keys -> non-trivial sketches)."""
-    rng = np.random.default_rng(seed)
-    x, y, _ = cdunif.sample(m, n_rows, rng)
+def make_dataset(n_rows: int):
+    """One KeyDep CDUnif pair with m = 100 (repeated keys -> non-trivial
+    sketches), seed 0."""
+    rng = np.random.default_rng(0)
+    x, y, _ = cdunif.sample(100, n_rows, rng)
     return decompose(x, y, "keydep")
 
 
@@ -46,8 +47,9 @@ def _timed(fn) -> tuple[float, object]:
     return float(np.median(ms)), result
 
 
-def measure(*, n_values=N_VALUES, n: int = SKETCH_N, method: str = "tupsk") -> pd.DataFrame:
-    """Time the four paper operations per table size N."""
+def measure(*, n_values=N_VALUES, n: int = SKETCH_N) -> pd.DataFrame:
+    """Time the four paper operations per table size N, sketching with
+    TUPSK as the paper's timings do."""
     rows = []
     for n_rows in n_values:
         pair = make_dataset(n_rows)
@@ -55,7 +57,7 @@ def measure(*, n_values=N_VALUES, n: int = SKETCH_N, method: str = "tupsk") -> p
         ck, cv = pair.cand["key"].to_numpy(), pair.cand["x"].to_numpy()
 
         build_ms, (s_train, s_cand) = _timed(
-            lambda: build_pair(method, tk, tv, ck, cv, n, agg="avg")
+            lambda: build_pair("tupsk", tk, tv, ck, cv, n, agg="avg")
         )
         sketch_join_ms, (sy, sx) = _timed(lambda: join_sketches(s_train, s_cand))
         full_join_ms, (fy, fx) = _timed(

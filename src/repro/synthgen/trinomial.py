@@ -13,6 +13,11 @@ import numpy as np
 
 from repro.mi.true_mi import corr_for_mi, trinomial_true_mi
 
+#: Section V-A: I_true ~ U(MI_RANGE), and p1, p2 must lie in P_RANGE.
+MI_RANGE = (0.0, 3.5)
+P_RANGE = (0.15, 0.85)
+MAX_TRIES = 10_000
+
 
 @dataclass(frozen=True)
 class TrinomialParams:
@@ -26,35 +31,29 @@ class TrinomialParams:
 
 
 def choose_params(
-    m: int,
-    rng: np.random.Generator,
-    *,
-    i_true: float | None = None,
-    mi_range: tuple[float, float] = (0.0, 3.5),
-    p_range: tuple[float, float] = (0.15, 0.85),
-    max_tries: int = 10_000,
+    m: int, rng: np.random.Generator, *, i_true: float | None = None
 ) -> TrinomialParams:
     """Paper's parameter-selection algorithm (Section V-A).
 
-    1. I_true ~ U(mi_range) unless given; r = sqrt(1 - exp(-2 I_true)).
-    2. p1 ~ U(p_range).
+    1. I_true ~ U(MI_RANGE) unless given; r = sqrt(1 - exp(-2 I_true)).
+    2. p1 ~ U(P_RANGE).
     3. p2 = r^2 (1 - p1) / (p1 + r^2 (1 - p1)), from the trinomial
        correlation identity r^2 = p1 p2 / ((1-p1)(1-p2)). Repeat until
-       p2 lands in p_range (and p3 = 1 - p1 - p2 stays positive).
+       p2 lands in P_RANGE (and p3 = 1 - p1 - p2 stays positive).
     """
-    for _ in range(max_tries):
-        target = float(rng.uniform(*mi_range)) if i_true is None else float(i_true)
+    for _ in range(MAX_TRIES):
+        target = float(rng.uniform(*MI_RANGE)) if i_true is None else float(i_true)
         r2 = corr_for_mi(target) ** 2
-        p1 = float(rng.uniform(*p_range))
+        p1 = float(rng.uniform(*P_RANGE))
         p2 = r2 * (1.0 - p1) / (p1 + r2 * (1.0 - p1))
-        if p_range[0] <= p2 <= p_range[1] and p1 + p2 < 0.999:
+        if P_RANGE[0] <= p2 <= P_RANGE[1] and p1 + p2 < 0.999:
             return TrinomialParams(
                 m=m, p1=p1, p2=p2, target_mi=target,
                 true_mi=trinomial_true_mi(m, p1, p2),
             )
     raise RuntimeError(
         f"no valid (p1, p2) found for m={m}, i_true={i_true} "
-        f"within {max_tries} tries"
+        f"within {MAX_TRIES} tries"
     )
 
 

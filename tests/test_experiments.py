@@ -1,15 +1,29 @@
 """End-to-end tests of the experiment harnesses at reduced scale."""
+import os
+
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.experiments import fulljoin_accuracy, table1, table2, timing
 
+PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "pins")
+
 
 @pytest.fixture(scope="module")
 def tiny_workload():
     """A shrunken Table I workload: 2k rows, fewer trials."""
     return table1.build_workload(n_rows=2_000, trials_per_config=1, cdunif_draws=2, seed=7)
+
+
+@pytest.fixture(scope="module")
+def table1_raw(spark, tiny_workload):
+    return table1.run(spark, tiny_workload, n=128)
+
+
+@pytest.fixture(scope="module")
+def table2_raw(spark):
+    return table2.run(spark, "nyc", n_pairs=6, n=512, seed=3)
 
 
 def test_build_workload_metadata(tiny_workload):
@@ -29,8 +43,8 @@ def test_build_workload_deterministic():
     pd.testing.assert_frame_equal(a.train_tall, b.train_tall)
 
 
-def test_table1_run_and_summarize(spark, tiny_workload):
-    raw = table1.run(spark, tiny_workload, n=128)
+def test_table1_run_and_summarize(table1_raw):
+    raw = table1_raw
     assert set(raw["method"]) == set(table1.METHODS)
     summary = table1.summarize(raw, n=128)
     assert set(summary.columns) == {"dataset", "method", "avg_sketch_join_size", "pct_of_n", "mse"}
@@ -61,8 +75,8 @@ def test_fulljoin_accuracy_tracks_true_mi(spark, tiny_workload):
     assert (summary["pearson_r"] > 0.9).all()
 
 
-def test_table2_run_and_summarize(spark):
-    raw = table2.run(spark, "nyc", n_pairs=6, n=512, seed=3)
+def test_table2_run_and_summarize(table2_raw):
+    raw = table2_raw
     assert set(raw["collection"]) == {"nyc"}
     sk = raw[raw["method"] != "full"]
     assert set(sk["method"]) == set(table2.METHODS)
@@ -72,6 +86,26 @@ def test_table2_run_and_summarize(spark):
     }
     assert (summary["mse"] >= 0).all()
     assert summary["spearman_r"].between(-1, 1).all()
+
+
+def _assert_pinned(raw: pd.DataFrame, pin: str) -> None:
+    """``raw`` holds the rows of ``tests/pins/<pin>``, computed as the
+    published results were: keys and join sizes exactly, estimates to
+    rel 1e-12. A change to any generator, sketch or estimator shows here
+    rather than in ``results/`` alone."""
+    want = pd.read_csv(os.path.join(PINS, pin), float_precision="round_trip")
+    exact = ["pair_id", "method", "estimator", "join_size"]
+    assert raw[exact].values.tolist() == want[exact].values.tolist()
+    for col in ("mi_sketch", "mi_full"):
+        np.testing.assert_allclose(raw[col].to_numpy(float), want[col].to_numpy(float), rtol=1e-12, atol=0)
+
+
+def test_table1_tiny_rows_are_pinned(table1_raw):
+    _assert_pinned(table1_raw, "table1_tiny_raw.csv")
+
+
+def test_table2_tiny_rows_are_pinned(table2_raw):
+    _assert_pinned(table2_raw, "table2_tiny_raw.csv")
 
 
 def test_table2_tupsk_rank_aligns_with_full_join(spark):

@@ -129,23 +129,25 @@ def test_full_join_mi_returns_size(spark):
 
 
 def test_tpch_lite_augmentation(spark):
-    """Figure-1-style augmentation on TPC-H-lite: enrich orders with the
-    average account balance of each customer's market segment... i.e.,
-    join orders (train) with customer (cand) on custkey, AGG=avg over
-    c_acctbal, checked against DuckDB."""
-    orders = synth_data.orders(spark, sf=0.005)
-    customer = synth_data.customer(spark, sf=0.005)
-    train = orders.selectExpr("o_orderkey as rid", "o_custkey as key", "o_totalprice as y")
-    cand = customer.selectExpr("c_custkey as rid", "c_custkey as key", "c_acctbal as x")
+    """Figure-1-style augmentation on TPC-H-lite: enrich each lineitem
+    with the average retail price of its part, i.e. join lineitem
+    (train) with part (cand) on partkey, AGG=avg over p_retailprice,
+    checked against DuckDB. This is the join spark-sf01 runs."""
+    lineitem = synth_data.lineitem(spark, sf=0.005)
+    part = synth_data.part(spark, sf=0.005)
+    train = lineitem.selectExpr(
+        "monotonically_increasing_id() as rid", "l_partkey as key", "l_extendedprice as y"
+    )
+    cand = part.selectExpr("p_partkey as rid", "p_partkey as key", "p_retailprice as x")
     got = fulljoin.augment(train, cand, agg="avg")
     sql = """
-        SELECT t.o_custkey AS key, t.o_totalprice AS y, a.x AS x
-        FROM orders t
-        LEFT JOIN (SELECT c_custkey AS key, AVG(c_acctbal) AS x FROM customer GROUP BY c_custkey) a
-        ON t.o_custkey = a.key
+        SELECT t.l_partkey AS key, t.l_extendedprice AS y, a.x AS x
+        FROM lineitem t
+        LEFT JOIN (SELECT p_partkey AS key, AVG(p_retailprice) AS x FROM part GROUP BY p_partkey) a
+        ON t.l_partkey = a.key
         WHERE a.x IS NOT NULL
     """
-    assert_equivalent(got, sql, orders=orders, customer=customer)
+    assert_equivalent(got, sql, lineitem=lineitem, part=part)
 
 
 def test_featurize_rejects_unknown_agg(spark):

@@ -129,7 +129,7 @@ def test_csk_first_value_is_the_first_row_nan_included(spark):
 
 
 def test_unknown_method_raises(spark, keydep_pair):
-    with pytest.raises(ValueError):
+    with pytest.raises(KeyError):
         pipeline.spark_train_sketch(
             spark.createDataFrame(keydep_pair.train), n=8, method="bogus"
         )
@@ -222,6 +222,31 @@ def test_offset_shuffled_row_ids_spark_equals_numpy(spark, method):
         "y": rng.normal(size=1500),
     }).sample(frac=1.0, random_state=3)
     _assert_same(_numpy_train(table, method, 80), _spark_train(spark, table, method, 80, 3))
+
+
+def test_evaluate_pair_samples_indsk_by_rid_as_spark_does(spark):
+    """When rid is not 0..N-1, the sweep's ``evaluate_pair`` samples the
+    INDSK train rows the Spark builder samples: both hash rid."""
+    from repro.core.evaluate import evaluate_pair
+    from repro.mi import estimate_mi
+    from repro.sketch import join_sketches
+
+    rng = np.random.default_rng(29)
+    train = pd.DataFrame({
+        "rid": 10**9 + 7 * np.arange(1500), "key": rng.integers(0, 90, 1500),
+        "y": rng.normal(size=1500),
+    })
+    cand = pd.DataFrame({"rid": np.arange(90), "key": np.arange(90), "x": rng.normal(size=90)})
+    res = evaluate_pair(
+        0, train, cand, n=80, methods=("indsk",), estimators=(("mixed_ksg", "none"),),
+        compute_full=False,
+    ).iloc[0]
+    y, x = join_sketches(
+        pipeline.spark_train_sketch(spark.createDataFrame(train), n=80, method="indsk"),
+        pipeline.spark_cand_sketch(spark.createDataFrame(cand), n=80, method="indsk"),
+    )
+    assert res["join_size"] == len(y)
+    assert res["mi_sketch"] == estimate_mi(x, y, "mixed_ksg")
 
 
 #: (key type, method); a string case is named by its method alone.
