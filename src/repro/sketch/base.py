@@ -52,8 +52,32 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
     Row i gets j = (number of earlier rows with the same key) + 1;
     the pair <k, j> uniquely identifies a row (paper Section IV-B).
     """
-    codes, _ = pd.factorize(np.asarray(keys), use_na_sentinel=False)
-    return (pd.Series(codes).groupby(codes).cumcount() + 1).to_numpy(np.int64)
+    return code_occurrences(pd.factorize(np.asarray(keys), use_na_sentinel=False)[0])
+
+
+def code_occurrences(codes: np.ndarray) -> np.ndarray:
+    """``occurrence_index`` of codes ``>= 0``, from one stable sort of the codes in the
+    narrowest unsigned type that holds them (a radix sort up to 16 bits)."""
+    counts = np.bincount(codes)
+    order = np.argsort(codes.astype(np.min_scalar_type(len(counts))), kind="stable")
+    j = np.empty(len(codes), np.int64)
+    j[order] = np.arange(1, len(codes) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    return j
+
+
+def first_rows(codes: np.ndarray) -> np.ndarray:
+    """Each key's first row, for codes numbered in first-appearance order
+    as ``pd.factorize`` numbers them: the rows where the running maximum
+    of the codes rises (a NULL's -1 never does)."""
+    return np.flatnonzero(np.diff(np.maximum.accumulate(codes), prepend=-1))
+
+
+def stable_argsort(x: np.ndarray) -> np.ndarray:
+    """``np.argsort(x, kind="stable")`` for ``x`` without NaN, from two unstable sorts:
+    equal values share a rank, and the distinct ``rank * len(x) + row`` orders ties by row."""
+    order = np.argsort(x)
+    s = x[order]
+    return np.sort(np.r_[0, np.cumsum(s[1:] != s[:-1])] * len(x) + order) % len(x)
 
 
 def _mode(keys: np.ndarray, values: np.ndarray) -> pd.DataFrame:
@@ -97,10 +121,7 @@ def aggregate_cand(keys: np.ndarray, values: np.ndarray, agg: str) -> pd.DataFra
         return _mode(keys, values)
     if agg == "first":  # the value at the key's first row, NaN included: MIN_BY(x, rid)
         codes, uniques = pd.factorize(keys)  # NULL keys -> -1
-        rows = np.flatnonzero(codes >= 0)
-        return pd.DataFrame(
-            {"key": uniques, "value": values[rows[np.unique(codes[rows], return_index=True)[1]]]}
-        )
+        return pd.DataFrame({"key": uniques, "value": values[first_rows(codes)]})
     g = pd.DataFrame({"key": keys, "value": values}).groupby("key", sort=False)["value"]
     out = g.mean() if agg == "avg" else g.count()  # SQL COUNT(x): NULL/NaN values skipped
     return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})
@@ -118,7 +139,7 @@ class Train:
         self.keys, self.values = np.asarray(keys), np.asarray(values)
         self.rid = np.arange(len(self.keys)) if rid is None else np.asarray(rid)
         self.codes, _ = pd.factorize(self.keys, use_na_sentinel=False)
-        self.first = np.unique(self.codes, return_index=True)[1]
+        self.first = first_rows(self.codes)
         if j is None:
             self.counts, self.N = np.bincount(self.codes), len(self.codes)
         else:
@@ -155,8 +176,12 @@ class Cand:
 
 
 def bottom_n(coord: np.ndarray, n: int) -> np.ndarray:
-    """The positions of the n smallest ``coord``; ties keep the earlier one."""
-    return np.argsort(coord, kind="stable")[:n]
+    """The positions of the n smallest ``coord``; ties keep the earlier one.
+    Only the rows at or below the n-th smallest value are sorted."""
+    rows = np.arange(len(coord))
+    if 0 < n < len(coord):
+        rows = np.flatnonzero(coord <= np.partition(coord, n - 1)[n - 1])
+    return rows[stable_argsort(coord[rows])[:n]]
 
 
 def join_sketches(train: Sketch, cand: Sketch) -> tuple[np.ndarray, np.ndarray]:

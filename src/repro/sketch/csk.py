@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .base import Train
+from .base import Train, bottom_n
 from .lv2sk import select_cand
 
 #: CSK ignores the AGG it is asked for: its cand side keeps the first value.
@@ -26,4 +26,4 @@ def select_train(train: Train, n: int) -> np.ndarray:
     value of the n keys with the smallest ``h_u(h(k))``, as
     ``select_cand`` takes them from a table featurized with FIRST."""
     codes = np.flatnonzero(pd.notna(train.keys[train.first]))
-    return train.first[codes[np.argsort(train.u_key[codes], kind="stable")[:n]]]
+    return train.first[codes[bottom_n(train.u_key[codes], n)]]

@@ -13,26 +13,28 @@ TUPSK removes (paper Section IV-B).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro import hashing
 
-from .base import Cand, Train, bottom_n
+from .base import Cand, Train, bottom_n, code_occurrences, stable_argsort
 
 
 def two_level(train: Train, key_order: np.ndarray, n: int) -> np.ndarray:
     """Keep the first n key codes of ``key_order`` (level 1), then per
-    kept key the n_k rows with the smallest ``u_row`` (level 2)."""
-    rows = np.flatnonzero(np.isin(train.codes, key_order[:n]))
+    kept key the n_k rows with the smallest ``u_row``, ties to the
+    earlier row (level 2). Returns the rows in row order."""
+    kept = np.zeros(len(train.counts), bool)
+    kept[key_order[:n]] = True
+    rows = np.flatnonzero(kept[train.codes])
+    rows = rows[stable_argsort(train.u_row[rows])]
     codes = train.codes[rows]
     n_k = np.maximum(1, (n * train.counts / train.N).astype(np.int64))
-    rank = pd.Series(train.u_row[rows]).groupby(codes).rank(method="first").to_numpy()
-    return rows[rank <= n_k[codes]]
+    return np.sort(rows[code_occurrences(codes) <= n_k[codes]])
 
 
 def select_train(train: Train, n: int) -> np.ndarray:
     """Level 1 is KMV: the keys with the smallest ``h_u(h(k))``."""
-    return two_level(train, np.argsort(train.u_key, kind="stable"), n)
+    return two_level(train, bottom_n(train.u_key, n), n)
 
 
 def select_cand(cand: Cand, n: int) -> np.ndarray:

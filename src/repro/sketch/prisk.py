@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Train
+from .base import Train, bottom_n
 from .lv2sk import select_cand, two_level  # aggregated keys all weigh 1: LV2SK's KMV
 
 
@@ -20,4 +20,4 @@ def select_train(train: Train, n: int) -> np.ndarray:
     # zero, but reachable) u == 0 hash by flooring at the smallest
     # positive float.
     priority = train.counts / np.maximum(train.u_key, np.finfo(np.float64).tiny)
-    return two_level(train, np.argsort(-priority, kind="stable"), n)
+    return two_level(train, bottom_n(-priority, n), n)
