@@ -7,7 +7,7 @@ import pytest
 @pytest.fixture(scope="session")
 def spark():
     """One local-mode SparkSession for the whole test session, built by
-    ``repro.core.session`` exactly as the jobs build theirs."""
+    ``repro.core.session``."""
     # Imported here: suites that need no Spark run without ``repro`` on
     # the import path.
     from repro.core.session import driver_memory, session

@@ -1,7 +1,7 @@
 """Reproduce one of the paper's published results.
 
-Usage: ``python jobs/reproduce.py <result>`` (or ``spark-submit
-jobs/reproduce.py <result>``), where ``<result>`` is one of:
+Usage: ``python jobs/reproduce.py <result>``, where ``<result>`` is one
+of:
 
 - ``table1``: Table I, sketch estimates vs analytic true MI on
   synthetic data;
@@ -10,8 +10,11 @@ jobs/reproduce.py <result>``), where ``<result>`` is one of:
 - ``fulljoin_accuracy``: Section V-B1, full-join estimates vs analytic
   true MI;
 - ``timing``: Section V-D, wall times of the sketch path vs the
-  full-join path. It runs on the numpy core alone, the paper's
-  single-node setting, and starts no Spark session.
+  full-join path.
+
+Every result runs on the numpy core alone, in this one process, and
+starts no Spark session: each sweep loops over its table pairs in
+``pair_id`` order.
 
 A sweep writes ``results/<result>_raw.csv`` and
 ``results/<result>_summary.csv``; ``timing`` writes
@@ -24,7 +27,6 @@ import pathlib
 
 import pandas as pd
 
-from repro.core.session import session
 from repro.experiments import fulljoin_accuracy, table1, table2, timing
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
@@ -39,14 +41,10 @@ EXPERIMENTS = {
 
 
 def _sweep(name: str) -> pd.DataFrame:
-    """The raw result rows of one Spark sweep."""
-    spark = session(f"reproduce-{name}")
-    try:
-        if name == "table2":  # one sweep per collection
-            return pd.concat([table2.run(spark, c) for c in ("nyc", "wbf")], ignore_index=True)
-        return EXPERIMENTS[name].run(spark)
-    finally:
-        spark.stop()
+    """The raw result rows of one sweep."""
+    if name == "table2":  # one sweep per collection
+        return pd.concat([table2.run(c) for c in ("nyc", "wbf")], ignore_index=True)
+    return EXPERIMENTS[name].run()
 
 
 def main(argv: list[str] | None = None) -> None:

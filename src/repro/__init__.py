@@ -11,7 +11,8 @@ Package map (see DESIGN.md for the full index):
 * ``repro.sketch``      — the sketches: TUPSK (contribution), LV2SK,
                           PRISK, INDSK, CSK
 * ``repro.core``        — Spark layer: featurization + full joins,
-                          distributed sketch builders, cogrouped sweeps
+                          distributed sketch builders; the numpy
+                          per-pair evaluation the sweeps loop over
 * ``repro.opendata``    — synthetic open-data corpora (NYC/WBF stand-ins)
 * ``repro.experiments`` — one harness per published table / section
 """

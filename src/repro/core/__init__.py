@@ -1,6 +1,7 @@
-"""The paper's core pipeline on Spark: featurization + full joins
+"""The paper's core pipeline: featurization + full joins on Spark
 (``fulljoin``), distributed sketch construction (``pipeline``), and the
-batched pair-evaluation harness (``sweep``)."""
-from . import evaluate, fulljoin, pipeline, sweep
+numpy per-pair evaluation the experiment sweeps loop over
+(``evaluate``)."""
+from . import evaluate, fulljoin, pipeline
 
-__all__ = ["evaluate", "fulljoin", "pipeline", "sweep"]
+__all__ = ["evaluate", "fulljoin", "pipeline"]

@@ -1,7 +1,8 @@
 """Per-pair evaluation: full-join MI proxy + every sketch's estimate.
 
-This is the function the cogrouped sweep harness runs for each
-(T_train, T_cand) pair. It mirrors the paper's measurement protocol:
+The experiment sweeps call this once per (T_train, T_cand) pair, in
+``pair_id`` order, in one process. It mirrors the paper's measurement
+protocol:
 
 * the *full-join* MI (Section V-C's proxy for the unknown true MI) is
   computed on the materialized aggregate-then-left-join result;
@@ -26,12 +27,6 @@ from repro.sketch import SELECTORS, Cand, Train, aggregate_cand, cand_agg, join_
 _JITTER_SIGMA = 1e-3
 #: Estimates on fewer joined rows are reported as NaN.
 MIN_SAMPLE = 4
-
-#: One row per (method, estimator) of :func:`evaluate_pair`.
-RESULT_SCHEMA = (
-    "pair_id long, method string, estimator string, "
-    "join_size long, mi_sketch double, mi_full double, full_join_size long"
-)
 
 
 def _jitter(y: np.ndarray, jitter: str, rng) -> np.ndarray:
@@ -80,7 +75,13 @@ def evaluate_pair(
     compute_full: bool = True,
 ) -> pd.DataFrame:
     """Evaluate one pair; returns rows per (method, estimator) plus a
-    ``method='full'`` row per estimator when ``compute_full``."""
+    ``method='full'`` row per estimator when ``compute_full``.
+
+    ``train`` ([rid, key, y]) and ``cand`` ([rid, key, x]) must come in
+    ``rid`` order: a row's occurrence index j counts the earlier rows of
+    its key, so the sketches' samples depend on the row order.
+    The columns of the result are pair_id, method, estimator, join_size,
+    mi_sketch, mi_full, full_join_size."""
     rng = np.random.default_rng(1_000_003 * (pair_id + 1))
     # Each side is prepared once; every method selects from it, and the
     # full join reuses the candidate side's AGG.

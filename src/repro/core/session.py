@@ -1,4 +1,4 @@
-"""The one local SparkSession bootstrap, shared by the tests and the jobs.
+"""The one local SparkSession bootstrap; the tests start theirs here.
 
 Arrow is on and broadcast joins are off, so joins at SF ~= 0.1 take the
 shuffle path. ``spark.driver.memory`` is read only when the JVM starts,

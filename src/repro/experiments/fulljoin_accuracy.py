@@ -10,26 +10,24 @@ ground truth for the real-data evaluation of Table II.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
-from repro.core.sweep import run_pair_evaluations
 from repro.experiments import table1
 
 
-def run(spark: SparkSession, workload: table1.Workload | None = None) -> pd.DataFrame:
-    """Compute full-join estimates for every Table I pair."""
+def run(workload: table1.Workload | None = None) -> pd.DataFrame:
+    """Compute full-join estimates for every Table I pair, in pair_id order."""
     wl = workload or table1.build_workload()
-    dataset_by_pair = dict(zip(wl.meta["pair_id"], wl.meta["dataset"]))
-
-    def _eval(pair_id: int, train: pd.DataFrame, cand: pd.DataFrame) -> pd.DataFrame:
-        specs = table1.ESTIMATORS[dataset_by_pair[pair_id]]
-        return evaluate_pair(
-            pair_id, train, cand, n=4, methods=(), estimators=specs,
-            agg="avg", compute_full=True,
-        )
-
-    raw = run_pair_evaluations(spark, wl.train_tall, wl.cand_tall, _eval)
+    raw = pd.concat(
+        [
+            evaluate_pair(
+                pair_id, pair.train, pair.cand, n=4, methods=(),
+                estimators=table1.ESTIMATORS[dataset], agg="avg", compute_full=True,
+            )
+            for pair_id, (pair, dataset) in enumerate(zip(wl.pairs, wl.meta["dataset"]))
+        ],
+        ignore_index=True,
+    )
     return raw.merge(wl.meta, on="pair_id")
 
 

@@ -16,16 +16,14 @@ at m <= n while still exercising the breakdown regime.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
-from repro.core.sweep import run_pair_evaluations
 from repro.sketch import SELECTORS
-from repro.synthgen import cdunif, decompose, trinomial
+from repro.synthgen import TablePair, cdunif, decompose, trinomial
 
 N_ROWS = 10_000
 SKETCH_N = 256
@@ -43,10 +41,9 @@ ESTIMATORS = {
 
 @dataclass
 class Workload:
-    """All table pairs of the Table I sweep, stacked tall."""
+    """All table pairs of the Table I sweep; ``pairs[i]`` is pair_id i."""
 
-    train_tall: pd.DataFrame
-    cand_tall: pd.DataFrame
+    pairs: list[TablePair]
     meta: pd.DataFrame  # pair_id, dataset, keygen, m, true_mi
 
 
@@ -59,18 +56,18 @@ def build_workload(
 ) -> Workload:
     """Generate every synthetic table pair (deterministic in ``seed``)."""
     rng = np.random.default_rng(seed)
-    trains, cands, meta = [], [], []
-    pair_id = 0
+    pairs, meta = [], []
 
     def _add(dataset: str, keygen: str, m: int, true_mi: float, x, y) -> None:
-        nonlocal pair_id
         pair = decompose(x, y, keygen)
-        trains.append(pair.train.assign(pair_id=pair_id, y=pair.train["y"].astype(np.float64)))
-        cands.append(pair.cand.assign(pair_id=pair_id, x=pair.cand["x"].astype(np.float64)))
+        pairs.append(replace(
+            pair,
+            train=pair.train.assign(y=pair.train["y"].astype(np.float64)),
+            cand=pair.cand.assign(x=pair.cand["x"].astype(np.float64)),
+        ))
         meta.append(
-            {"pair_id": pair_id, "dataset": dataset, "keygen": keygen, "m": m, "true_mi": true_mi}
+            {"pair_id": len(meta), "dataset": dataset, "keygen": keygen, "m": m, "true_mi": true_mi}
         )
-        pair_id += 1
 
     for m in TRINOMIAL_MS:
         for keygen in ("keyind", "keydep"):
@@ -84,27 +81,23 @@ def build_workload(
             x, y, true = cdunif.sample(m, n_rows, rng)
             _add("cdunif", keygen, m, true, x, y)
 
-    return Workload(
-        train_tall=pd.concat(trains, ignore_index=True),
-        cand_tall=pd.concat(cands, ignore_index=True),
-        meta=pd.DataFrame(meta),
-    )
+    return Workload(pairs=pairs, meta=pd.DataFrame(meta))
 
 
-def run(spark: SparkSession, workload: Workload | None = None, *, n: int = SKETCH_N) -> pd.DataFrame:
-    """Distributed sweep over all pairs; returns raw per-estimate rows
-    joined with the pair metadata."""
+def run(workload: Workload | None = None, *, n: int = SKETCH_N) -> pd.DataFrame:
+    """Sweep over all pairs in pair_id order; returns raw per-estimate
+    rows joined with the pair metadata."""
     wl = workload or build_workload()
-    dataset_by_pair = dict(zip(wl.meta["pair_id"], wl.meta["dataset"]))
-
-    def _eval(pair_id: int, train: pd.DataFrame, cand: pd.DataFrame) -> pd.DataFrame:
-        specs = ESTIMATORS[dataset_by_pair[pair_id]]
-        return evaluate_pair(
-            pair_id, train, cand, n=n, methods=METHODS, estimators=specs,
-            agg="avg", compute_full=False,
-        )
-
-    raw = run_pair_evaluations(spark, wl.train_tall, wl.cand_tall, _eval)
+    raw = pd.concat(
+        [
+            evaluate_pair(
+                pair_id, pair.train, pair.cand, n=n, methods=METHODS,
+                estimators=ESTIMATORS[dataset], agg="avg", compute_full=False,
+            )
+            for pair_id, (pair, dataset) in enumerate(zip(wl.pairs, wl.meta["dataset"]))
+        ],
+        ignore_index=True,
+    )
     return raw.merge(wl.meta, on="pair_id")
 
 

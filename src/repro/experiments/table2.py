@@ -13,12 +13,10 @@ size, Spearman rank correlation with the full-join estimates, and MSE.
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import SparkSession
 
 from repro.core.evaluate import evaluate_pair
-from repro.core.sweep import run_pair_evaluations
 from repro.mi import route
-from repro.opendata import generate_collection, tall_frames
+from repro.opendata import PairTables, generate_collection
 from repro.opendata.typeinfer import cast_column
 from repro.sketch import SELECTORS
 
@@ -30,29 +28,27 @@ METHODS = tuple(sorted(SELECTORS))
 N_PAIRS = 120
 
 
+def _eval(pair: PairTables, n: int) -> pd.DataFrame:
+    # Type inference (Tablesaw stand-in) feeds the estimator and AGG route.
+    train = pair.train.assign(y=cast_column(pair.train["y"]))
+    cand = pair.cand.assign(x=cast_column(pair.cand["x"]))
+    est, agg = route(cand["x"].to_numpy(), train["y"].to_numpy())
+    return evaluate_pair(
+        pair.pair_id, train, cand, n=n, methods=METHODS,
+        estimators=((est, "none"),), agg=agg, compute_full=True,
+    )
+
+
 def run(
-    spark: SparkSession,
     collection: str,
     *,
     n_pairs: int = N_PAIRS,
     n: int = SKETCH_N,
     seed: int = 0,
 ) -> pd.DataFrame:
-    """Distributed sweep over one collection; returns raw result rows."""
+    """Sweep over one collection in pair_id order; returns raw result rows."""
     pairs = generate_collection(collection, n_pairs, seed=seed)
-    train_tall, cand_tall = tall_frames(pairs)
-
-    def _eval(pair_id: int, train: pd.DataFrame, cand: pd.DataFrame) -> pd.DataFrame:
-        # Type inference (Tablesaw stand-in) feeds the estimator and AGG route.
-        train = train.assign(y=cast_column(train["y"]))
-        cand = cand.assign(x=cast_column(cand["x"]))
-        est, agg = route(cand["x"].to_numpy(), train["y"].to_numpy())
-        return evaluate_pair(
-            pair_id, train, cand, n=n, methods=METHODS,
-            estimators=((est, "none"),), agg=agg, compute_full=True,
-        )
-
-    raw = run_pair_evaluations(spark, train_tall, cand_tall, _eval)
+    raw = pd.concat([_eval(p, n) for p in pairs], ignore_index=True)
     raw["collection"] = collection
     return raw
 

@@ -1,5 +1,5 @@
 """Synthetic open-data corpora + type inference (paper Section V-C)."""
-from .corpus import NYC, SPECS, WBF, CollectionSpec, PairTables, generate_collection, generate_pair, tall_frames
+from .corpus import NYC, SPECS, WBF, CollectionSpec, PairTables, generate_collection, generate_pair
 from .typeinfer import cast_column
 
 __all__ = [
@@ -10,6 +10,5 @@ __all__ = [
     "PairTables",
     "generate_collection",
     "generate_pair",
-    "tall_frames",
     "cast_column",
 ]

@@ -164,14 +164,3 @@ def generate_collection(
         generate_pair(i, spec, seed=seed * 1_000_000 + 7919 * i + offset)
         for i in range(n_pairs)
     ]
-
-
-def tall_frames(pairs: list[PairTables]) -> tuple[pd.DataFrame, pd.DataFrame]:
-    """Stack pairs into the two tall frames the sweep harness consumes."""
-    train = pd.concat(
-        [p.train.assign(pair_id=p.pair_id) for p in pairs], ignore_index=True
-    )
-    cand = pd.concat(
-        [p.cand.assign(pair_id=p.pair_id) for p in pairs], ignore_index=True
-    )
-    return train, cand

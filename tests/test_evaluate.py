@@ -99,3 +99,87 @@ def test_sketch_estimates_close_to_full_on_easy_pair():
     )
     sk = res[res["method"] == "tupsk"].iloc[0]
     assert sk["mi_sketch"] == pytest.approx(sk["mi_full"], abs=0.35)
+
+
+@pytest.fixture(scope="module")
+def small_workload():
+    trains, cands = [], []
+    for pid in range(4):
+        rng = np.random.default_rng(100 + pid)
+        x, y, _ = cdunif.sample(20 + pid * 10, 1200, rng)
+        pair = decompose(x, y, "keydep" if pid % 2 else "keyind")
+        trains.append(pair.train.assign(pair_id=pid, y=pair.train["y"].astype(float)))
+        cands.append(pair.cand.assign(pair_id=pid, x=pair.cand["x"].astype(float)))
+    return pd.concat(trains, ignore_index=True), pd.concat(cands, ignore_index=True)
+
+
+def _eval(pair_id, train, cand):
+    return evaluate_pair(
+        pair_id, train, cand, n=64,
+        methods=("tupsk", "lv2sk"), estimators=(("mixed_ksg", "none"),),
+        agg="avg", compute_full=True,
+    )
+
+
+def test_evaluate_pair_emits_full_rows(small_workload):
+    train_tall, cand_tall = small_workload
+    t0 = train_tall[train_tall["pair_id"] == 0].reset_index(drop=True)
+    c0 = cand_tall[cand_tall["pair_id"] == 0].reset_index(drop=True)
+    res = _eval(0, t0, c0)
+    full = res[res["method"] == "full"]
+    assert len(full) == 1
+    assert full["join_size"].iloc[0] == len(t0)
+    assert np.isnan(full["mi_sketch"].iloc[0])
+
+
+def test_evaluate_pair_small_join_is_nan():
+    """Sketch joins below min_sample yield NaN estimates (filtered or
+    zero-filled downstream depending on the table's protocol)."""
+    rng = np.random.default_rng(0)
+    train = pd.DataFrame({"rid": range(10), "key": [f"t{i}" for i in range(10)], "y": rng.normal(size=10)})
+    cand = pd.DataFrame({"rid": range(10), "key": [f"c{i}" for i in range(10)], "x": rng.normal(size=10)})
+    res = evaluate_pair(
+        0, train, cand, n=8, methods=("tupsk",), estimators=(("mixed_ksg", "none"),),
+        compute_full=True,
+    )
+    sk = res[res["method"] == "tupsk"]
+    assert sk["join_size"].iloc[0] == 0  # disjoint key domains
+    assert np.isnan(sk["mi_sketch"].iloc[0])
+
+
+#: The result frame of ``evaluate_pair``: its columns in order, with dtypes.
+RESULT_DTYPES = {
+    "pair_id": "int64",
+    "method": "object",
+    "estimator": "object",
+    "join_size": "int64",
+    "mi_sketch": "float64",
+    "mi_full": "float64",
+    "full_join_size": "int64",
+}
+
+
+def _disjoint_pair():
+    """No key is shared, so every join is empty and every estimate NaN."""
+    rng = np.random.default_rng(1)
+    train = pd.DataFrame({"rid": range(50), "key": [f"t{i}" for i in range(50)], "y": rng.normal(size=50)})
+    cand = pd.DataFrame({"rid": range(50), "key": [f"c{i}" for i in range(50)], "x": rng.normal(size=50)})
+    return train, cand
+
+
+@pytest.mark.parametrize("compute_full", [True, False])
+@pytest.mark.parametrize("disjoint", [False, True])
+def test_evaluate_pair_result_columns_and_dtypes(pair, compute_full, disjoint):
+    train, cand = _disjoint_pair() if disjoint else (pair.train, pair.cand)
+    res = evaluate_pair(
+        3, train, cand, n=32, methods=("tupsk", "indsk", "csk"),
+        estimators=(("mixed_ksg", "none"), ("dc_ksg", "y")), compute_full=compute_full,
+    )
+    assert list(res.columns) == list(RESULT_DTYPES)
+    assert res.dtypes.astype(str).to_dict() == RESULT_DTYPES
+    assert len(res) == (4 if compute_full else 3) * 2
+    if disjoint:
+        assert (res["join_size"] == 0).all()
+        assert np.isnan(res[["mi_sketch", "mi_full"]].to_numpy()).all()
+    else:
+        assert not np.isnan(res.loc[res["method"] != "full", "mi_sketch"]).any()

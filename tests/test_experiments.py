@@ -17,13 +17,13 @@ def tiny_workload():
 
 
 @pytest.fixture(scope="module")
-def table1_raw(spark, tiny_workload):
-    return table1.run(spark, tiny_workload, n=128)
+def table1_raw(tiny_workload):
+    return table1.run(tiny_workload, n=128)
 
 
 @pytest.fixture(scope="module")
-def table2_raw(spark):
-    return table2.run(spark, "nyc", n_pairs=6, n=512, seed=3)
+def table2_raw():
+    return table2.run("nyc", n_pairs=6, n=512, seed=3)
 
 
 def test_build_workload_metadata(tiny_workload):
@@ -33,14 +33,18 @@ def test_build_workload_metadata(tiny_workload):
     assert set(wl.meta["dataset"]) == {"trinomial", "cdunif"}
     assert set(wl.meta["keygen"]) == {"keyind", "keydep"}
     assert (wl.meta["true_mi"] >= 0).all()
-    assert set(wl.train_tall["pair_id"]) == set(wl.meta["pair_id"])
+    assert len(wl.pairs) == len(wl.meta)
+    assert wl.meta["pair_id"].tolist() == list(range(n_pairs))
 
 
 def test_build_workload_deterministic():
     a = table1.build_workload(n_rows=300, trials_per_config=1, cdunif_draws=1, seed=5)
     b = table1.build_workload(n_rows=300, trials_per_config=1, cdunif_draws=1, seed=5)
     pd.testing.assert_frame_equal(a.meta, b.meta)
-    pd.testing.assert_frame_equal(a.train_tall, b.train_tall)
+    assert len(a.pairs) == len(b.pairs)
+    for pa, pb in zip(a.pairs, b.pairs):
+        pd.testing.assert_frame_equal(pa.train, pb.train)
+        pd.testing.assert_frame_equal(pa.cand, pb.cand)
 
 
 def test_table1_run_and_summarize(table1_raw):
@@ -56,18 +60,18 @@ def test_table1_run_and_summarize(table1_raw):
     assert piv["tupsk"] > piv["indsk"]
 
 
-def test_table1_mse_order(spark):
+def test_table1_mse_order():
     """Headline shape of Table I at N = 10k: TUPSK beats the two-level
     baselines, which beat the uncoordinated baseline, in mean MSE."""
     wl = table1.build_workload(n_rows=10_000, trials_per_config=1, cdunif_draws=4, seed=11)
-    summary = table1.summarize(table1.run(spark, wl))
+    summary = table1.summarize(table1.run(wl))
     piv = summary.pivot(index="method", columns="dataset", values="mse")
     assert piv.loc["tupsk"].mean() <= piv.loc["lv2sk"].mean()
     assert piv.loc["lv2sk"].mean() <= piv.loc["indsk"].mean()
 
 
-def test_fulljoin_accuracy_tracks_true_mi(spark, tiny_workload):
-    raw = fulljoin_accuracy.run(spark, tiny_workload)
+def test_fulljoin_accuracy_tracks_true_mi(tiny_workload):
+    raw = fulljoin_accuracy.run(tiny_workload)
     summary = fulljoin_accuracy.summarize(raw)
     assert (summary["n_pairs"] > 0).all()
     # At N=2k the full-join estimates already track the true MI tightly.
@@ -108,10 +112,10 @@ def test_table2_tiny_rows_are_pinned(table2_raw):
     _assert_pinned(table2_raw, "table2_tiny_raw.csv")
 
 
-def test_table2_tupsk_rank_aligns_with_full_join(spark):
+def test_table2_tupsk_rank_aligns_with_full_join():
     """On a reduced NYC-like collection, TUPSK estimates rank-align with
     the full-join estimates."""
-    summary = table2.summarize(table2.run(spark, "nyc", n_pairs=24, n=1024, seed=1))
+    summary = table2.summarize(table2.run("nyc", n_pairs=24, n=1024, seed=1))
     tupsk = summary[summary["method"] == "tupsk"].iloc[0]
     assert tupsk["spearman_r"] > 0.5
 

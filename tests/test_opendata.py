@@ -7,7 +7,6 @@ from repro.opendata import (
     SPECS,
     generate_collection,
     generate_pair,
-    tall_frames,
 )
 from repro.opendata.typeinfer import cast_column
 
@@ -62,12 +61,14 @@ def test_wbf_joins_bigger_than_nyc():
     assert avg_join("wbf") > avg_join("nyc")
 
 
-def test_tall_frames_roundtrip():
-    coll = generate_collection("nyc", 2, seed=2)
-    train_tall, cand_tall = tall_frames(coll)
-    assert set(train_tall["pair_id"]) == {0, 1}
-    assert len(train_tall) == sum(len(p.train) for p in coll)
-    assert list(train_tall.columns) == ["rid", "key", "y", "pair_id"]
+@pytest.mark.parametrize("name", ["nyc", "wbf"])
+def test_pair_rows_in_rid_order(name):
+    """Both tables come in strictly increasing ``rid``: the Table II
+    sweep hands them to ``evaluate_pair`` as they are, and occurrence
+    indices follow row order."""
+    p = generate_pair(2, SPECS[name], seed=13)
+    for table in (p.train, p.cand):
+        assert (np.diff(table["rid"].to_numpy()) > 0).all()
 
 
 def test_unknown_collection_raises():

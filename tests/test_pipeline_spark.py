@@ -225,7 +225,7 @@ def test_offset_shuffled_row_ids_spark_equals_numpy(spark, method):
 
 
 def test_evaluate_pair_samples_indsk_by_rid_as_spark_does(spark):
-    """When rid is not 0..N-1, the sweep's ``evaluate_pair`` samples the
+    """When rid is not 0..N-1, the per-pair ``evaluate_pair`` samples the
     INDSK train rows the Spark builder samples: both hash rid."""
     from repro.core.evaluate import evaluate_pair
     from repro.mi import estimate_mi

@@ -48,6 +48,17 @@ def test_decompose_recovers_xy_exactly(keygen):
     assert got == expected
 
 
+@pytest.mark.parametrize("keygen", ["keyind", "keydep"])
+def test_decompose_rows_in_rid_order(keygen):
+    """Both tables come in strictly increasing ``rid``: the sweeps hand
+    them to ``evaluate_pair`` as they are, and occurrence indices follow
+    row order."""
+    x, y = _trinomial_xy()
+    pair = decompose(x, y, keygen)
+    for table in (pair.train, pair.cand):
+        assert (np.diff(table["rid"].to_numpy()) > 0).all()
+
+
 def test_keyind_unique_keys_both_sides():
     x, y = _trinomial_xy()
     pair = decompose(x, y, "keyind")
