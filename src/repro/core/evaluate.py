@@ -22,7 +22,7 @@ import numpy as np
 import pandas as pd
 
 from repro.mi import estimate_mi
-from repro.sketch import SELECTORS, Cand, Train, aggregate_cand, cand_agg, join_sketches
+from repro.sketch import SELECTORS, Cand, Train, cand_agg, join_sketches
 
 _JITTER_SIGMA = 1e-3
 #: Estimates on fewer joined rows are reported as NaN.
@@ -40,27 +40,23 @@ def _jitter(y: np.ndarray, jitter: str, rng) -> np.ndarray:
 def full_join_pairs_pandas(
     train: pd.DataFrame, cand: pd.DataFrame, agg: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Aggregate-then-left-join in pandas, NULL rows dropped.
+    """Aggregate-then-left-join in pandas, NULL rows dropped, in train row order.
 
     Equivalent to ``repro.core.fulljoin.augment`` (oracle-checked in
     the tests); the §V-D timing, the benchmark and the tests run it.
-    ``evaluate_pair`` joins its own prepared candidate side instead.
+    ``evaluate_pair`` runs the same join on the ``Cand`` it sketches.
     """
-    aug = aggregate_cand(cand["key"].to_numpy(), cand["x"].to_numpy(), agg)
-    return _join_aug(train, aug["key"].to_numpy(), aug["value"].to_numpy())
+    side = Cand(cand["key"].to_numpy(), cand["x"].to_numpy())
+    return _join_aug(train, side.keys, side.featurize(agg))
 
 
-def _join_aug(
-    train: pd.DataFrame, keys: np.ndarray, x: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Inner-join the train rows to the featurized candidate (one x per
-    key), leaving out the keys whose x is NULL or NaN, as ``augment``'s
-    ``x IS NOT NULL`` does."""
+def _join_aug(train: pd.DataFrame, keys, x) -> tuple[np.ndarray, np.ndarray]:
+    """Inner-join the train rows to the featurized candidate by a key index lookup, leaving
+    out NULL and NaN x (``x IS NOT NULL``); an object index matches ``True`` with ``1``."""
     kept = ~pd.isna(x)
-    merged = train[["key", "y"]].merge(
-        pd.DataFrame({"key": keys[kept], "x": x[kept]}), on="key", how="inner", sort=False
-    )
-    return merged["y"].to_numpy(), merged["x"].to_numpy()
+    pos = pd.Index(keys[kept]).get_indexer(train["key"].to_numpy())
+    hit = pos >= 0
+    return train["y"].to_numpy()[hit], x[kept][pos[hit]]
 
 
 def evaluate_pair(
@@ -83,22 +79,17 @@ def evaluate_pair(
     The columns of the result are pair_id, method, estimator, join_size,
     mi_sketch, mi_full, full_join_size."""
     rng = np.random.default_rng(1_000_003 * (pair_id + 1))
-    # Each side is prepared once; every method selects from it, and the
-    # full join reuses the candidate side's AGG.
+    # Each side is prepared once: every method selects from it, the full join too.
     train_side = Train(train["key"].to_numpy(), train["y"].to_numpy(), train["rid"].to_numpy())
-    cand_sides = {  # CSK's own AGG (FIRST) adds a side
-        a: Cand(cand["key"].to_numpy(), cand["x"].to_numpy(), a)
-        for a in {agg, *(cand_agg(m, agg) for m in methods)}
-    }
+    cand_side = Cand(cand["key"].to_numpy(), cand["x"].to_numpy())
     samples = []  # (method, y, x): the full join first, then each sketch join
     if compute_full:
-        samples.append(("full", *_join_aug(train, cand_sides[agg].keys, cand_sides[agg].values)))
+        samples.append(("full", *_join_aug(train, cand_side.keys, cand_side.featurize(agg))))
     for method in methods:
         select_train, select_cand = SELECTORS[method]
-        cand_side = cand_sides[cand_agg(method, agg)]
         samples.append((method, *join_sketches(
             train_side.sketch(select_train(train_side, n)),
-            cand_side.sketch(select_cand(cand_side, n)),
+            cand_side.sketch(select_cand(cand_side, n), cand_agg(method, agg)),
         )))
     full_size = len(samples[0][1]) if compute_full else 0
     mi_full: dict[tuple[str, str], float] = {}

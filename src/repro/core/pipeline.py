@@ -32,7 +32,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql import types as T
 from pyspark.sql.pandas.types import to_arrow_schema
 
-from repro.sketch import SELECTORS, Cand, Sketch, Train, aggregate_cand, cand_agg
+from repro.sketch import SELECTORS, Cand, Sketch, Train, cand_agg
 
 _COUNTS = [T.StructField(c, T.LongType()) for c in ("j", "n_k", "n_p")]
 
@@ -100,18 +100,15 @@ def _train_pass(df: DataFrame, *, n: int, method: str, parts: int) -> DataFrame:
 
 def _cand_pass(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> DataFrame:
     """The keys each key-partition's cand selector keeps, with their AGG
-    value and the ``rid`` of their first row."""
+    value and the ``rid`` of their first row, read from one ``Cand``."""
     select = SELECTORS[method][1]
     agg = cand_agg(method, agg)
 
     def local(pdf):
-        keys = pdf["key"].to_numpy()
-        cand = Cand(keys, pdf["x"].to_numpy(), agg)
-        first_rid = aggregate_cand(keys, pdf["rid"].to_numpy(), "first")["value"].to_numpy()
+        cand = Cand(pdf["key"].to_numpy(), pdf["x"].to_numpy())
         picked = select(cand, n)
-        return pd.DataFrame(
-            {"rid": first_rid[picked], "key": cand.keys[picked], "x": cand.values[picked]}
-        )
+        rid, x = pdf["rid"].to_numpy()[cand.first[picked]], cand.featurize(agg)[picked]
+        return pd.DataFrame({"rid": rid, "key": cand.keys[picked], "x": x})
 
     rows = df.select("rid", "key", "x")
     schema = T.StructType([*rows.schema.fields[:2], agg_field(rows, agg)])
@@ -134,8 +131,8 @@ def _train_sketch(df: DataFrame, *, n: int, method: str, parts: int) -> Sketch:
 def _cand_sketch(df: DataFrame, *, n: int, method: str, agg: str, parts: int) -> Sketch:
     u = _union(_cand_pass(df, n=n, method=method, agg=agg, parts=parts))
     # One row per key, already featurized: FIRST hands each value back as it is.
-    cand = Cand(u["key"].to_numpy(), u["x"].to_numpy(), "first")
-    return cand.sketch(SELECTORS[method][1](cand, n))
+    cand = Cand(u["key"].to_numpy(), u["x"].to_numpy())
+    return cand.sketch(SELECTORS[method][1](cand, n), "first")
 
 
 def spark_train_sketch(df: DataFrame, *, n: int, method: str) -> Sketch:

@@ -2,10 +2,10 @@
 
 ``SELECTORS`` maps a sketch name to its selectors over the prepared
 table sides, ``(select_train(Train, n), select_cand(Cand, n))``; each
-returns the positions of the rows it keeps, and ``side.sketch(rows)``
-makes them a :class:`Sketch`. ``METHODS`` maps a name to the builder
-pair that prepares a side and selects from it, ``(train_sketch(keys,
-values, n), cand_sketch(keys, values, n, agg))``.
+returns the positions of the rows it keeps, and ``train.sketch(rows)``
+or ``cand.sketch(rows, agg)`` makes them a :class:`Sketch`. ``METHODS``
+maps a name to the builder pair that prepares a side and selects from
+it, ``(train_sketch(keys, values, n), cand_sketch(keys, values, n, agg))``.
 """
 from functools import partial
 
@@ -35,8 +35,8 @@ def _train_sketch(method: str, keys, values, n: int) -> Sketch:
 
 
 def _cand_sketch(method: str, keys, values, n: int, agg: str = "avg") -> Sketch:
-    cand = Cand(keys, values, cand_agg(method, agg))
-    return cand.sketch(SELECTORS[method][1](cand, n))
+    cand = Cand(keys, values)
+    return cand.sketch(SELECTORS[method][1](cand, n), cand_agg(method, agg))
 
 
 METHODS = {m: (partial(_train_sketch, m), partial(_cand_sketch, m)) for m in SELECTORS}

@@ -9,7 +9,7 @@ assert this.
 
 The candidate (right) side of an augmentation join must be reduced to
 one value per key by a featurization function AGG (paper Section
-III-B); :func:`aggregate_cand` implements AVG / COUNT / MODE / FIRST
+III-B); ``Cand.featurize`` implements AVG / COUNT / MODE / FIRST
 with first-appearance tie-breaking so results are order-stable.
 """
 from __future__ import annotations
@@ -26,6 +26,12 @@ from repro import hashing
 AGG_FUNCTIONS = ("avg", "count", "mode", "first")
 
 
+def _check_aligned(keys: np.ndarray, **columns) -> None:
+    for name, col in columns.items():
+        if col is not None and len(col) != len(keys):
+            raise ValueError(f"{name} has {len(col)} rows, keys {len(keys)}: they must align")
+
+
 @dataclass
 class Sketch:
     """A bounded sample of ``<h(k), value>`` tuples for one column pair."""
@@ -34,8 +40,7 @@ class Sketch:
     values: np.ndarray  # the sampled X or Y values
 
     def __post_init__(self) -> None:
-        if len(self.key_hash) != len(self.values):
-            raise ValueError("key_hash and values must align")
+        _check_aligned(self.key_hash, values=self.values)
         # Canonical order: by (key_hash, value-position) for stable
         # cross-engine comparison.
         order = np.argsort(self.key_hash, kind="stable")
@@ -80,51 +85,35 @@ def stable_argsort(x: np.ndarray) -> np.ndarray:
     return np.sort(np.r_[0, np.cumsum(s[1:] != s[:-1])] * len(x) + order) % len(x)
 
 
-def _mode(keys: np.ndarray, values: np.ndarray) -> pd.DataFrame:
-    """Most frequent value per key; ties go to the value seen first.
+def _mode(codes: np.ndarray, n_keys: int, values: np.ndarray) -> np.ndarray:
+    """Most frequent value per key code; ties go to the value seen first.
 
     Matches ``groupby(sort=False)`` with ``value_counts`` per group: NULL
-    keys are dropped, NaN values are not counted, and a key whose values
-    are all NaN gets NaN.
+    keys (code -1) are dropped, NaN values are not counted, and a key whose
+    values are all NaN gets NaN.
     """
-    key_codes, uniques = pd.factorize(keys)  # NULL keys -> -1
     val_codes, _ = pd.factorize(values)  # NaN values -> -1
-    rows = np.flatnonzero(key_codes >= 0)
-    kc, vc = key_codes[rows], val_codes[rows]
-    _, inverse, counts = np.unique(
-        kc.astype(np.int64) * (vc.max(initial=-1) + 2) + vc + 1,
-        return_inverse=True,
-        return_counts=True,
-    )
+    rows = np.flatnonzero(codes >= 0)
+    kc, vc = codes[rows], val_codes[rows]
+    pairs = kc.astype(np.int64) * (vc.max(initial=-1) + 2) + vc + 1
+    _, inverse, counts = np.unique(pairs, return_inverse=True, return_counts=True)
     count = np.where(vc >= 0, counts[inverse], 0)
     # Per key: highest count first, then the earliest row.
     order = np.lexsort((rows, -count, kc))
-    best = order[np.searchsorted(kc[order], np.arange(len(uniques)))]
+    best = order[np.searchsorted(kc[order], np.arange(n_keys))]
     out = values[rows[best]]
     if out.dtype == object or (count[best] == 0).any():
         # pandas infers the dtype of per-group Python results, and a key
         # with no counted value yields None: floats read it as NaN.
         out = pd.Series(np.where(count[best] > 0, out, None)).infer_objects().to_numpy()
-    return pd.DataFrame({"key": uniques, "value": out})
+    return out
 
 
 def aggregate_cand(keys: np.ndarray, values: np.ndarray, agg: str) -> pd.DataFrame:
     """Apply the featurization AGG per key: T_cand[K_Z, Z] -> T_aug[K_X, X].
-
-    Returns a DataFrame [key, value] with one row per distinct non-NULL
-    key, in first-appearance order of the key, for every AGG.
-    """
-    if agg not in AGG_FUNCTIONS:
-        raise ValueError(f"unknown AGG {agg!r}; choose from {AGG_FUNCTIONS}")
-    keys, values = np.asarray(keys), np.asarray(values)
-    if agg == "mode":
-        return _mode(keys, values)
-    if agg == "first":  # the value at the key's first row, NaN included: MIN_BY(x, rid)
-        codes, uniques = pd.factorize(keys)  # NULL keys -> -1
-        return pd.DataFrame({"key": uniques, "value": values[first_rows(codes)]})
-    g = pd.DataFrame({"key": keys, "value": values}).groupby("key", sort=False)["value"]
-    out = g.mean() if agg == "avg" else g.count()  # SQL COUNT(x): NULL/NaN values skipped
-    return pd.DataFrame({"key": out.index.to_numpy(), "value": out.to_numpy()})
+    Returns [key, value]: ``Cand(keys, values)``'s keys and ``featurize(agg)``."""
+    cand = Cand(keys, values)
+    return pd.DataFrame({"key": cand.keys, "value": cand.featurize(agg)})
 
 
 class Train:
@@ -137,6 +126,7 @@ class Train:
 
     def __init__(self, keys, values, rid=None, *, j=None, n_k=None, N=None) -> None:
         self.keys, self.values = np.asarray(keys), np.asarray(values)
+        _check_aligned(self.keys, values=self.values, rid=rid, j=j, n_k=n_k)
         self.rid = np.arange(len(self.keys)) if rid is None else np.asarray(rid)
         self.codes, _ = pd.factorize(self.keys, use_na_sentinel=False)
         self.first = first_rows(self.codes)
@@ -162,17 +152,39 @@ class Train:
 
 
 class Cand:
-    """The candidate table, prepared once: ``keys``, ``key_hash`` and AGG
-    ``values`` per distinct non-NULL key, in first-appearance order."""
+    """The candidate table, prepared once for every AGG: per row its key
+    ``codes`` (NULL: -1); per distinct non-NULL key, in first-appearance
+    order, its ``keys``, ``first`` row and ``key_hash`` h(k)."""
 
-    def __init__(self, keys: np.ndarray, values: np.ndarray, agg: str) -> None:
-        aug = aggregate_cand(keys, values, agg)
-        self.keys = aug["key"].to_numpy()
-        self.key_hash = hashing.hash_keys(self.keys)
-        self.values = aug["value"].to_numpy()
+    def __init__(self, keys, values) -> None:
+        keys, self.values = np.asarray(keys), np.asarray(values)
+        _check_aligned(keys, values=self.values)
+        self.codes, self.keys = pd.factorize(keys)
+        self.first = first_rows(self.codes)
+        self._features: dict[str, np.ndarray] = {}
 
-    def sketch(self, rows: np.ndarray) -> Sketch:
-        return Sketch(self.key_hash[rows], self.values[rows])
+    @cached_property
+    def key_hash(self) -> np.ndarray:
+        return hashing.hash_keys(self.keys)
+
+    def featurize(self, agg: str) -> np.ndarray:
+        """AGG(value) per key (paper Section III-B), once per AGG."""
+        if agg not in AGG_FUNCTIONS:
+            raise ValueError(f"unknown AGG {agg!r}; choose from {AGG_FUNCTIONS}")
+        if agg not in self._features:
+            if agg == "mode":
+                out = _mode(self.codes, len(self.keys), self.values)
+            elif agg == "first":  # the value at the key's first row, NaN included: MIN_BY(x, rid)
+                out = self.values[self.first]
+            else:  # SQL COUNT(x) skips NULL/NaN values
+                rows = self.codes >= 0
+                g = pd.Series(self.values[rows]).groupby(self.codes[rows], sort=False)
+                out = (g.mean() if agg == "avg" else g.count()).to_numpy()
+            self._features[agg] = out
+        return self._features[agg]
+
+    def sketch(self, rows: np.ndarray, agg: str) -> Sketch:
+        return Sketch(self.key_hash[rows], self.featurize(agg)[rows])
 
 
 def bottom_n(coord: np.ndarray, n: int) -> np.ndarray:

@@ -92,12 +92,12 @@ def test_table2_run_and_summarize(table2_raw):
     assert summary["spearman_r"].between(-1, 1).all()
 
 
-def _assert_pinned(raw: pd.DataFrame, pin: str) -> None:
-    """``raw`` holds the rows of ``tests/pins/<pin>``, computed as the
-    published results were: keys and join sizes exactly, estimates to
-    rel 1e-12. A change to any generator, sketch or estimator shows here
-    rather than in ``results/`` alone."""
-    want = pd.read_csv(os.path.join(PINS, pin), float_precision="round_trip")
+def _assert_pinned(raw: pd.DataFrame, pin: str, root: str = PINS) -> None:
+    """``raw`` holds the rows of ``<root>/<pin>`` (default ``tests/pins/``),
+    computed as the published results were: keys and join sizes exactly,
+    estimates to rel 1e-12. A change to any generator, sketch or estimator
+    shows here rather than in ``results/`` alone."""
+    want = pd.read_csv(os.path.join(root, pin), float_precision="round_trip")
     exact = ["pair_id", "method", "estimator", "join_size"]
     assert raw[exact].values.tolist() == want[exact].values.tolist()
     for col in ("mi_sketch", "mi_full"):

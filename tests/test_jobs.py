@@ -4,6 +4,8 @@ import pathlib
 
 import pytest
 
+from tests.test_experiments import _assert_pinned
+
 JOB = pathlib.Path(__file__).resolve().parent.parent / "jobs" / "reproduce.py"
 RESULTS = ("table1", "table2", "fulljoin_accuracy", "timing")
 
@@ -32,6 +34,15 @@ def test_job_knows_only_the_published_results():
     assert set(_load().EXPERIMENTS) == set(RESULTS)
     with pytest.raises(SystemExit):
         _load().main(["table3"])
+
+
+@pytest.mark.parametrize("name", ["table1", "fulljoin_accuracy", "table2"])
+def test_published_raw_results_are_reproduced(name):
+    """The job's sweep, rerun at its published size (``table2``: NYC and
+    WBF), gives the rows of ``results/<name>_raw.csv`` under the pin rule:
+    keys and join sizes exactly, estimates to rel 1e-12. It writes nothing."""
+    raw = _load()._sweep(name)
+    _assert_pinned(raw, f"{name}_raw.csv", root=str(JOB.parent.parent / "results"))
 
 
 def test_common_session_config():

@@ -5,7 +5,7 @@ import pytest
 
 from repro import hashing
 from repro.sketch import METHODS, build_pair, join_sketches, occurrence_index
-from repro.sketch.base import Sketch
+from repro.sketch.base import Cand, Sketch, Train
 
 
 def _skewed_table(n=5000, n_keys=200, seed=0):
@@ -230,6 +230,38 @@ def test_join_sketches_keeps_first_cand_entry_on_a_hash_collision():
 def test_sketch_validates_alignment():
     with pytest.raises(ValueError):
         Sketch(np.arange(3, dtype=np.uint32), np.arange(2))
+
+
+_KEYS = np.array([3, 1, 3, 2])
+
+
+@pytest.mark.parametrize("length", [3, 6])
+@pytest.mark.parametrize("column", ["values", "rid", "j", "n_k"])
+def test_train_validates_alignment(column, length):
+    """Every per-row column must have one entry per key: a longer or
+    shorter one is refused, not silently sliced or misaligned."""
+    cols = {"values": np.arange(4.0), "rid": np.arange(4)}
+    if column in ("j", "n_k"):
+        cols |= {"j": np.array([1, 1, 2, 1]), "n_k": np.array([2, 1, 2, 1]), "N": 4}
+        Train(_KEYS, **cols)  # aligned: accepted
+    cols[column] = np.arange(length)
+    with pytest.raises(ValueError, match=f"{column} has {length} rows, keys 4"):
+        Train(_KEYS, **cols)
+
+
+@pytest.mark.parametrize("length", [3, 6])
+def test_cand_validates_alignment(length):
+    with pytest.raises(ValueError, match=f"values has {length} rows, keys 4"):
+        Cand(_KEYS, np.arange(float(length)))
+
+
+@pytest.mark.parametrize("method", list(METHODS))
+@pytest.mark.parametrize("side", ["train", "cand"])
+def test_build_pair_validates_alignment(method, side):
+    args = [_KEYS, np.arange(4.0), _KEYS, np.arange(4.0)]
+    args[1 if side == "train" else 3] = np.arange(6.0)
+    with pytest.raises(ValueError, match="values has 6 rows, keys 4"):
+        build_pair(method, *args, n=2)
 
 
 def test_build_pair_unknown_method():
