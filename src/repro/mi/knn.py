@@ -12,8 +12,10 @@ All estimators use the Chebyshev (max) metric in the joint space and
 natural logs, default ``k = 3``, and clip estimates at 0. Joint k-NN
 distances come from an exact box search over x-columns (the
 box-assisted search of Kraskov, Stögbauer & Grassberger 2004), one box
-per point, sized by the point's k-th distance to its neighbours in two
-sort orders: every distance it keeps is computed as
+per point, sized by the point's k-th distance to its neighbours in its
+column and in the (x, y) sort, and in the y sort too where the boxes
+would outgrow the columns (y far wider than x): every distance it keeps
+is computed as
 ``max(|x_i - x_j|, |y_i - y_j|)``, the same float operations as an
 all-pairs search, so it returns the same bits. DC-KSG's within-class
 1-D distances use the k sorted positions on either side. Marginal
@@ -39,34 +41,39 @@ def _require_finite(a: np.ndarray) -> None:
         raise ValueError("k-NN estimators need finite values; found NaN or inf")
 
 
-def _nearest_in_runs(a: np.ndarray, b: np.ndarray, run: np.ndarray, k: int) -> np.ndarray:
+def _nearest(a: np.ndarray, b: np.ndarray, k: int, run: np.ndarray | None = None) -> np.ndarray:
     """Per sorted position p, the distances max(|a_q - a_p|, |b_q - b_p|)
-    to the positions q = p ± 1..k of the same ``run``; inf elsewhere."""
+    to the positions q = p ± 1..k (of the same ``run``, if given); inf
+    elsewhere."""
     near = np.full((len(a), 2 * k), np.inf)
     for t in range(1, k + 1):
         d = np.maximum(np.abs(a[t:] - a[:-t]), np.abs(b[t:] - b[:-t]))
-        d[run[t:] != run[:-t]] = np.inf
+        if run is not None:
+            d[run[t:] != run[:-t]] = np.inf
         near[:-t, 2 * t - 2] = d
         near[t:, 2 * t - 1] = d
     return near
 
 
-def _kth_nearest_in_runs(a: np.ndarray, b: np.ndarray, run: np.ndarray, k: int) -> np.ndarray:
-    """The k-th smallest of :func:`_nearest_in_runs` per position."""
-    near = _nearest_in_runs(a, b, run, k)
+def _kth_nearest(a: np.ndarray, b: np.ndarray, k: int, run: np.ndarray | None = None) -> np.ndarray:
+    """The k-th smallest of :func:`_nearest` per position."""
+    near = _nearest(a, b, k, run)
     near.partition(k - 1, axis=1)
     return near[:, k - 1].copy()
 
 
-def _column_cuts(xo: np.ndarray, m: int) -> np.ndarray:
-    """Start positions (and the end) of x-columns over sorted ``xo``: each
-    holds >= m points, the last one the tail, and a cut falls only where x
-    changes."""
-    n = len(xo)
-    starts = np.flatnonzero(np.r_[True, xo[1:] != xo[:-1]])
-    cuts = [0]
+def _column_cuts(xo: np.ndarray, starts: np.ndarray, m: int, width: float) -> np.ndarray:
+    """Start positions (and the end) of x-columns over sorted ``xo``, whose
+    x-runs start at ``starts``: a cut falls only where x changes, each
+    column holds >= m points, the next one starts >= ``width`` past its
+    first x, and the last one is the tail. Each cut is greedy, so a width
+    never adds a column to the cuts of ``m`` alone."""
+    n, xr = len(xo), xo[starts]
+    # Per x-run, the first run that may start the next column.
+    nxt = np.maximum(np.searchsorted(starts, starts + m), np.searchsorted(xr, xr + width))
+    cuts, i = [0], 0
     while True:
-        i = np.searchsorted(starts, cuts[-1] + m)
+        i = int(nxt[i])
         if i == len(starts) or starts[i] > n - m:
             return np.array(cuts + [n])
         cuts.append(int(starts[i]))
@@ -90,10 +97,32 @@ def _kth_smallest(d: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _box(ub: np.ndarray) -> float:
+    """Twice the median bound: the width of a median point's box."""
+    return 2 * float(np.partition(ub, len(ub) // 2)[len(ub) // 2])
+
+
+def _columns(x, y, order, xo, yo, cuts, k, ub):
+    """The points of ``order`` (the (x, y) sort) in x-columns cut at
+    ``cuts``, sorted within a column by (y, x): per column-sorted position
+    its column ``col``, input index ``perm``, x and y. Lowers ``ub`` (in
+    input order) to each point's k-th distance to its k neighbours on
+    either side in its column."""
+    col = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
+    perm = order[np.lexsort((xo, yo, col))]
+    xs, ys = x[perm], y[perm]
+    ub[perm] = np.minimum(ub[perm], _kth_nearest(xs, ys, k, col))
+    return col, perm, xs, ys
+
+
 def _candidate_slices(x: np.ndarray, y: np.ndarray, k: int):
     """The box search of :func:`_joint_knn`, in a function of its own so
     that the sorts, bounds and searches it needs are freed before the
     distances are computed.
+
+    The columns are first cut by count. Where a median box is wider than
+    two average columns, the y-sort bound is added and the columns are
+    recut about one box wide; they are never more than the count gives.
 
     Returns each point's duplicate count ``zeros`` in input order,
     ``perm`` (column-sorted position -> input index), the column-sorted
@@ -104,28 +133,39 @@ def _candidate_slices(x: np.ndarray, y: np.ndarray, k: int):
     n = len(x)
     order = np.lexsort((y, x))
     xo, yo = x[order], y[order]
-    group = np.cumsum(np.r_[True, (xo[1:] != xo[:-1]) | (yo[1:] != yo[:-1])])
-    dups = np.bincount(group)[group] - 1
+    new_x = np.concatenate(([True], xo[1:] != xo[:-1]))
+    group = np.cumsum(new_x | np.concatenate(([True], yo[1:] != yo[:-1])))
     zeros = np.empty(n, dtype=np.int64)
-    zeros[order] = dups
-    cuts = _column_cuts(xo, max(k + 1, int(np.sqrt(n * k))))
-    col = np.repeat(np.arange(len(cuts) - 1), np.diff(cuts))
-    within = np.lexsort((xo, yo, col))
-    perm = order[within]  # sorted position -> input index
-    xs, ys = x[perm], y[perm]
+    zeros[order] = np.bincount(group)[group] - 1
+    # ub_i >= rho_i, as is i's k-th distance to any k others. fl|y_j -
+    # y_i| <= ub_i implies |y_j - y_i| < nextafter(ub_i) exactly, and
+    # float addition is monotone, so a box with edges y_i ±
+    # nextafter(ub_i) (and the same in x) holds every j with d_ij <=
+    # ub_i; an edge y_i ± ub_i could miss one by rounding.
+    ub = np.empty(n)
+    ub[order] = _kth_nearest(xo, yo, k)
+    starts = np.flatnonzero(new_x)
+    m = max(k + 1, int(np.sqrt(n * k)))
+    cuts = _column_cuts(xo, starts, m, 0.0)
+    col, perm, xs, ys = _columns(x, y, order, xo, yo, cuts, k, ub)
+    if _box(ub) * (len(cuts) - 1) > 2 * (xo[-1] - xo[0]):
+        # A median box spans more than two average columns: y spreads
+        # far wider than x, so neighbours in x are far in y. Bound by the
+        # y sort too, and recut the columns about one box wide.
+        oy = np.argsort(y)
+        y_sorted = y[oy]
+        ub[oy] = np.minimum(ub[oy], _kth_nearest(x[oy], y_sorted, k))
+        cuts = _column_cuts(xo, starts, m, _box(ub))
+        col, perm, xs, ys = _columns(x, y, order, xo, yo, cuts, k, ub)
+    else:
+        y_sorted = np.sort(y)
     col_xmin, col_xmax = xo[cuts[:-1]], xo[cuts[1:] - 1]
     # (column, rank of y) as one sorted int64 key, so that one
     # searchsorted finds a y-slice in every column at once.
-    y_sorted = np.sort(y)
     key = col * (n + 1) + np.searchsorted(y_sorted, ys, side="left")
-    # ub_i >= rho_i. fl|y_j - y_i| <= ub_i implies |y_j - y_i| <
-    # nextafter(ub_i) exactly, and float addition is monotone, so a box
-    # with edges y_i ± nextafter(ub_i) (and the same in x) holds every j
-    # with d_ij <= ub_i; an edge y_i ± ub_i could miss one by rounding.
-    ub = _kth_nearest_in_runs(xs, ys, col, k)
-    np.minimum(ub, _kth_nearest_in_runs(xo, yo, np.zeros(n), k)[within], out=ub)
+    ub = ub[perm]
 
-    rows = np.flatnonzero(dups[within] < k)  # in column, y order
+    rows = np.flatnonzero(zeros[perm] < k)  # in column, y order
     r = np.nextafter(ub[rows], np.inf)
     xr, yr = xs[rows], ys[rows]
     c0 = np.searchsorted(col_xmax, xr - r, side="left")
@@ -153,10 +193,13 @@ def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     are sorted into x-columns of >= sqrt(n k) points, equal x never
     split, and within a column by (y, x). A point's k-th distance to its
     k neighbours on either side in its column, and to its k neighbours
-    on either side in the (x, y) sort, each bound its rho from above;
-    the smaller bound sets the box. Its candidates are the y-slices of
-    every column within the box's x-reach, found for all points at once,
-    and rho is the k-th smallest candidate distance.
+    on either side in the (x, y) sort, each bound its rho from above.
+    When twice the median bound spans more than two average columns, as
+    with a narrow x beside a wide y, the k neighbours on either side in
+    the y sort bound it too, and the columns are recut fewer and about
+    one box wide. The smallest bound sets the box. Its candidates are
+    the y-slices of every column within the box's x-reach, found for all
+    points at once, and rho is the k-th smallest candidate distance.
     """
     zeros, perm, xs, ys, rows, pair_start, pair_end, lo, size = _candidate_slices(x, y, k)
     tot = np.add.reduceat(size, pair_start)  # candidates per point, itself included
@@ -185,7 +228,7 @@ def _class_knn(codes: np.ndarray, y: np.ndarray, k: int) -> np.ndarray:
     side, because float subtraction is monotone."""
     order = np.lexsort((y, codes))
     cs, ys = codes[order], y[order]
-    near = _nearest_in_runs(ys, ys, cs, k)
+    near = _nearest(ys, ys, k, cs)
     k_c = np.minimum(k, np.bincount(codes)[cs] - 1)
     radius = np.zeros(len(y))
     has = np.flatnonzero(k_c > 0)

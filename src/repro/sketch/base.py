@@ -141,7 +141,7 @@ class Train:
     # Per-row coordinates, computed on first use: INDSK and CSK read neither.
     @cached_property
     def j(self) -> np.ndarray:
-        return occurrence_index(self.codes)
+        return code_occurrences(self.codes)
 
     @cached_property
     def u_row(self) -> np.ndarray:

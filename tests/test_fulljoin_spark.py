@@ -88,9 +88,8 @@ def test_augment_matches_paper_sql(spark, agg):
 
 
 def test_full_join_pairs_pandas_matches_spark(spark):
-    """The in-task pandas implementation must agree with the Spark
-    operators (it runs inside cogrouped tasks where Spark is not
-    nestable)."""
+    """The pandas full join, which the §V-D timing runs in-process,
+    must agree with the Spark operators."""
     train, cand = _tables(seed=3)
     tdf, cdf = spark.createDataFrame(train), spark.createDataFrame(cand)
     spark_pairs = fulljoin.augment(tdf, cdf, agg="avg").select("y", "x").toPandas()

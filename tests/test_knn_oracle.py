@@ -212,3 +212,98 @@ def test_joint_knn_computes_at_most_8_distances_per_point_on_cdunif_20k():
     with mock.patch.object(knn, "_kth_smallest", spy):
         knn._joint_knn(x, y, 3)
     assert 0 < sum(seen) <= 8 * len(x)
+
+
+# A TPC-H lineitem x part join puts a narrow x (p_retailprice, which
+# spans ~100) beside a wide y (l_extendedprice, ~90,000): there the
+# y-sort bound and the columns sized from the bounds set the boxes.
+def _tpch_x(n, rng):
+    """p_retailprice = 900 + (key % 1000) / 10 of n rows' part keys."""
+    return (900 + rng.integers(1, 20001, n) % 1000 / 10.0).round(2)
+
+
+@st.composite
+def _scaled_samples(draw):
+    k = draw(st.integers(1, 4))
+    n = draw(st.one_of(st.integers(k + 1, k + 3), st.integers(k + 1, 1500), st.integers(1000, 1500)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wide = 10.0 ** draw(st.integers(3, 7))
+    kind = draw(st.sampled_from(["rays", "x_narrow", "y_narrow", "constant_x"]))
+    if kind == "rays":  # l_extendedprice = l_quantity * p_retailprice
+        x = _tpch_x(n, rng)
+        y = rng.integers(1, 51, n) * x
+    elif kind == "constant_x":
+        x, y = np.full(n, 950.0), rng.uniform(-wide, wide, n)
+    else:
+        x, y = _tpch_x(n, rng), (rng.random(n) * wide + 900).round(2)
+        if kind == "y_narrow":
+            x, y = y, x
+    return x, y, k
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_scaled_samples())
+def test_joint_knn_equals_all_pairs_on_very_different_scales(sample):
+    _assert_joint_matches(*sample)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    hnp.arrays(np.float64, st.integers(1, 200), elements=st.integers(-20, 20).map(float)),
+    st.integers(1, 30),
+    st.floats(0.0, 50.0),
+)
+def test_columns_cut_by_width_are_never_more(xo, m, width):
+    xo.sort()
+    starts = np.flatnonzero(np.concatenate(([True], xo[1:] != xo[:-1])))
+    by_count = knn._column_cuts(xo, starts, m, 0.0)
+    cuts = knn._column_cuts(xo, starts, m, width)
+    assert len(cuts) <= len(by_count)
+    assert cuts[0] == 0 and cuts[-1] == len(xo) and np.isin(cuts[1:-1], starts).all()
+    assert (np.diff(cuts) >= min(m, len(xo))).all()
+    assert (xo[cuts[1:-1]] - xo[cuts[:-2]] >= width).all()
+
+
+def _search_work(x, y, k):
+    """The box search's candidates (each point itself included) and
+    (point, column) pairs, and the number of points it searches."""
+    _, _, _, _, rows, pair_start, pair_end, _, size = knn._candidate_slices(x, y, k)
+    return size.sum(), (pair_end - pair_start).sum(), len(rows)
+
+
+@pytest.mark.parametrize("kind", ["rays", "independent"])
+def test_box_search_work_on_a_tpch_like_join(kind):
+    # With the column and (x, y)-sort bounds alone, a point here had ~55
+    # candidates and reached all ~18 columns.
+    rng = np.random.default_rng(1)
+    x = _tpch_x(1024, rng)
+    y = rng.integers(1, 51, 1024) * x if kind == "rays" else (rng.random(1024) * 90000 + 900).round(2)
+    cands, pairs, points = _search_work(x, y, 3)
+    assert points == 1024
+    assert cands <= 2 * (3 + 1) * points
+    assert pairs <= 2 * points
+
+
+def test_box_search_work_where_y_is_100_times_wider():
+    # Columns of sqrt(n k) points are far narrower than a box here: the
+    # column and (x, y)-sort bounds alone gave ~117 candidates in ~37
+    # columns per point, and columns recut without the y-sort bound ~28
+    # candidates per point.
+    rng = np.random.default_rng(0)
+    x, y = rng.uniform(0.0, 1.0, 5000), rng.uniform(0.0, 100.0, 5000)
+    cands, pairs, points = _search_work(x, y, 3)
+    assert points == 5000
+    assert cands <= 3 * (3 + 1) * points
+    assert pairs <= 2 * points
+
+
+def test_box_search_work_on_cdunif_20k():
+    # x has 100 values, so the (x, y)-sort bound is tight and the boxes
+    # stay far narrower than a column: no more work than the column and
+    # (x, y)-sort bounds alone give, 110,414 candidates in one column per
+    # point.
+    x, y = _cdunif(20000, 100, np.random.default_rng(0))
+    cands, pairs, points = _search_work(x, y, 3)
+    assert points == 20000
+    assert cands <= 110414
+    assert pairs <= points
