@@ -34,13 +34,32 @@ def u01(hashes: np.ndarray) -> np.ndarray:
     return mixed.astype(np.float64) * 2.0**-64
 
 
+def _high_word(w: np.ndarray) -> np.ndarray | None:
+    """Bits 32..63 of integral ``w`` as uint32, or None where all are 0."""
+    if w.dtype.itemsize <= 4:
+        return None
+    hi = (w.astype(np.int64, copy=False) >> 32).astype(np.uint32)
+    return hi if hi.any() else None
+
+
 def tuple_u01(a: np.ndarray, b) -> np.ndarray:
-    """``h_u(h(<a, b>))``: MurmurHash3 of the 8 bytes ``LE32(a) || LE32(b)``.
+    """``h_u(h(<a, b>))``: MurmurHash3 of the 8 bytes ``LE32(a) || LE32(b)``
+    of each side's low 32 bits.
 
     ``a`` is ``h(k)`` and ``b`` the 1-based occurrence ``j`` for TUPSK,
     or ``a`` a row id or key hash and ``b`` a scalar salt for INDSK.
-    Each side wraps to its low 32 bits.
+    Where a side's high word (bits 32..63, of its 64-bit two's
+    complement) is not 0, it is folded in: ``LE32(a >> 32)`` follows where
+    either high word is set, and ``LE32(b >> 32)`` after it where b's is,
+    12 or 16 bytes in all. So the hash is one-to-one on 64-bit pairs, and
+    on [0, 2^32) it is the 8-byte hash.
     """
     # 1-d, so a scalar salt wraps in array math (numpy scalar math warns).
-    words = [np.atleast_1d(np.asarray(w).astype(np.uint32)) for w in (a, b)]
-    return u01(murmur3_32_words(words, 8))
+    a, b = np.atleast_1d(np.asarray(a)), np.atleast_1d(np.asarray(b))
+    words = [a.astype(np.uint32), b.astype(np.uint32)]
+    hi_a, hi_b = _high_word(a), _high_word(b)
+    if hi_a is None and hi_b is None:
+        return u01(murmur3_32_words(words, 8))
+    hi_a, hi_b = (np.uint32(0) if w is None else w for w in (hi_a, hi_b))
+    nbytes = np.where(hi_b != 0, 16, np.where(hi_a != 0, 12, 8))
+    return u01(murmur3_32_words(words + [hi_a, hi_b], nbytes))

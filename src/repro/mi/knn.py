@@ -9,13 +9,16 @@ Implemented from the primary sources, in numpy (no scipy offline):
   with a continuous Y.
 
 All estimators use the Chebyshev (max) metric in the joint space and
-natural logs, default ``k = 3``, and clip estimates at 0. Joint k-NN
-distances come from an exact box search over x-columns (the
-box-assisted search of Kraskov, Stögbauer & Grassberger 2004), one box
-per point, sized by the point's k-th distance to its neighbours in its
-column and in the (x, y) sort, and in the y sort too where the boxes
-would outgrow the columns (y far wider than x): every distance it keeps
-is computed as
+natural logs, default ``k = 3``, and clip estimates at 0. A joint k-NN
+distance is certified without a search where a point's k-th distance to
+its k neighbours on either side in the (x, y) sort is no more than the
+x-gap from its x-run to the next run on either side: no point of another
+run can then be nearer, so that k-th distance is rho. Every other point
+is searched exactly over x-columns (the box-assisted search of Kraskov,
+Stögbauer & Grassberger 2004), one box per point, sized by the point's
+k-th distance to its neighbours in its column and in the (x, y) sort,
+and in the y sort too where the boxes would outgrow the columns (y far
+wider than x). Every distance either keeps is computed as
 ``max(|x_i - x_j|, |y_i - y_j|)``, the same float operations as an
 all-pairs search, so it returns the same bits. DC-KSG's within-class
 1-D distances use the k sorted positions on either side. Marginal
@@ -116,19 +119,23 @@ def _columns(x, y, order, xo, yo, cuts, k, ub):
 
 
 def _candidate_slices(x: np.ndarray, y: np.ndarray, k: int):
-    """The box search of :func:`_joint_knn`, in a function of its own so
-    that the sorts, bounds and searches it needs are freed before the
-    distances are computed.
+    """The certificate and box search of :func:`_joint_knn`, in a
+    function of its own so that the sorts, bounds and searches it needs
+    are freed before the distances are computed.
 
-    The columns are first cut by count. Where a median box is wider than
-    two average columns, the y-sort bound is added and the columns are
-    recut about one box wide; they are never more than the count gives.
+    Where every point is certified it returns before any column is cut.
+    Otherwise the columns are first cut by count. Where a median box is
+    wider than two average columns, the y-sort bound is added and the
+    columns are recut about one box wide; they are never more than the
+    count gives.
 
-    Returns each point's duplicate count ``zeros`` in input order,
+    Returns, in input order, ``rho`` (final at every certified point,
+    an upper bound elsewhere) and each point's duplicate count ``zeros``;
     ``perm`` (column-sorted position -> input index), the column-sorted
-    ``xs`` and ``ys``, the positions ``rows`` to search, and per searched
-    point its (point, column) pairs ``pair_start:pair_end`` into the
-    y-slices ``lo, lo + size`` of the column-sorted arrays.
+    ``xs`` and ``ys`` (None when nothing is searched), the positions
+    ``rows`` to search, and per searched point its (point, column) pairs
+    ``pair_start:pair_end`` into the y-slices ``lo, lo + size`` of the
+    column-sorted arrays.
     """
     n = len(x)
     order = np.lexsort((y, x))
@@ -137,14 +144,30 @@ def _candidate_slices(x: np.ndarray, y: np.ndarray, k: int):
     group = np.cumsum(new_x | np.concatenate(([True], yo[1:] != yo[:-1])))
     zeros = np.empty(n, dtype=np.int64)
     zeros[order] = np.bincount(group)[group] - 1
+    starts = np.flatnonzero(new_x)
     # ub_i >= rho_i, as is i's k-th distance to any k others. fl|y_j -
     # y_i| <= ub_i implies |y_j - y_i| < nextafter(ub_i) exactly, and
     # float addition is monotone, so a box with edges y_i ±
     # nextafter(ub_i) (and the same in x) holds every j with d_ij <=
     # ub_i; an edge y_i ± ub_i could miss one by rounding.
+    bound = _kth_nearest(xo, yo, k)
     ub = np.empty(n)
-    ub[order] = _kth_nearest(xo, yo, k)
-    starts = np.flatnonzero(new_x)
+    ub[order] = bound
+    # The certificate: float subtraction is monotone, so every point of
+    # another x-run is at least its run's gap away (the smaller
+    # x-difference to the runs on either side, inf at an end). Where the
+    # bound is <= the gap, a rho below it would need k points nearer than
+    # the gap, all in the run, whose k nearest lie among the k positions
+    # on either side in the (x, y) sort, so the bound would be <= rho:
+    # the bound is rho. A point with >= k duplicates has bound 0.
+    x_run = xo[starts]
+    gap = np.full(len(starts) + 1, np.inf)
+    np.subtract(x_run[1:], x_run[:-1], out=gap[1:-1])
+    search = np.empty(n, dtype=bool)
+    search[order] = bound > np.minimum(gap[:-1], gap[1:])[np.cumsum(new_x) - 1]
+    if not search.any():
+        none = np.empty(0, dtype=np.intp)
+        return ub, zeros, None, None, None, none, none, none, none, none
     m = max(k + 1, int(np.sqrt(n * k)))
     cuts = _column_cuts(xo, starts, m, 0.0)
     col, perm, xs, ys = _columns(x, y, order, xo, yo, cuts, k, ub)
@@ -163,9 +186,9 @@ def _candidate_slices(x: np.ndarray, y: np.ndarray, k: int):
     # (column, rank of y) as one sorted int64 key, so that one
     # searchsorted finds a y-slice in every column at once.
     key = col * (n + 1) + np.searchsorted(y_sorted, ys, side="left")
-    ub = ub[perm]
+    rho, ub = ub, ub[perm]  # a certified ub, never lowered below rho, is rho
 
-    rows = np.flatnonzero(zeros[perm] < k)  # in column, y order
+    rows = np.flatnonzero(search[perm])  # in column, y order
     r = np.nextafter(ub[rows], np.inf)
     xr, yr = xs[rows], ys[rows]
     c0 = np.searchsorted(col_xmax, xr - r, side="left")
@@ -179,7 +202,7 @@ def _candidate_slices(x: np.ndarray, y: np.ndarray, k: int):
     base = (np.arange(len(point)) - pair_start[point] + c0[point]) * (n + 1)
     lo = np.searchsorted(key, base + np.searchsorted(y_sorted, yr - r, side="left")[point])
     hi = np.searchsorted(key, base + np.searchsorted(y_sorted, yr + r, side="right")[point])
-    return zeros, perm, xs, ys, rows, pair_start, pair_end, lo, hi - lo
+    return rho, zeros, perm, xs, ys, rows, pair_start, pair_end, lo, hi - lo
 
 
 def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,22 +212,30 @@ def _joint_knn(x: np.ndarray, y: np.ndarray, k: int) -> tuple[np.ndarray, np.nda
     Needs finite values and n > k. Distinct finite floats never subtract
     to 0, so d_ij == 0 exactly when the points are equal: the duplicate
     counts come from grouping, and a point with >= k duplicates has
-    rho = 0. Every other point is searched in its own box. The points
-    are sorted into x-columns of >= sqrt(n k) points, equal x never
-    split, and within a column by (y, x). A point's k-th distance to its
-    k neighbours on either side in its column, and to its k neighbours
-    on either side in the (x, y) sort, each bound its rho from above.
-    When twice the median bound spans more than two average columns, as
-    with a narrow x beside a wide y, the k neighbours on either side in
-    the y sort bound it too, and the columns are recut fewer and about
-    one box wide. The smallest bound sets the box. Its candidates are
-    the y-slices of every column within the box's x-reach, found for all
-    points at once, and rho is the k-th smallest candidate distance.
+    rho = 0. A point's k-th distance to its k neighbours on either side
+    in the (x, y) sort bounds its rho from above, and is its rho where
+    it is no more than its x-run's gap, the x-difference to the nearest
+    other run (float subtraction is monotone, so no point of another run
+    is nearer; a rho below the bound would need k nearer points in the
+    run, and the k nearest in a run sorted by y lie among the k positions
+    on either side). These points are certified; on the full CDUnif
+    joins of §V-D every point is, and nothing is searched.
+
+    Every other point is searched in its own box. The points are sorted
+    into x-columns of >= sqrt(n k) points, equal x never split, and
+    within a column by (y, x). A point's k-th distance to its k
+    neighbours on either side in its column bounds its rho from above
+    too. When twice the median bound spans more than two average
+    columns, as with a narrow x beside a wide y, the k neighbours on
+    either side in the y sort bound it too, and the columns are recut
+    fewer and about one box wide. The smallest bound sets the box. Its
+    candidates are the y-slices of every column within the box's
+    x-reach, found for all points at once, and rho is the k-th smallest
+    candidate distance.
     """
-    zeros, perm, xs, ys, rows, pair_start, pair_end, lo, size = _candidate_slices(x, y, k)
+    rho, zeros, perm, xs, ys, rows, pair_start, pair_end, lo, size = _candidate_slices(x, y, k)
     tot = np.add.reduceat(size, pair_start)  # candidates per point, itself included
     cand_end = np.cumsum(tot)
-    rho = np.zeros(len(x))
 
     s = 0
     while s < len(rows):  # chunks of points with <= _CHUNK_WORK candidates, or one point

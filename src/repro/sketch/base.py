@@ -57,7 +57,22 @@ def occurrence_index(keys: np.ndarray) -> np.ndarray:
     Row i gets j = (number of earlier rows with the same key) + 1;
     the pair <k, j> uniquely identifies a row (paper Section IV-B).
     """
-    return code_occurrences(pd.factorize(np.asarray(keys), use_na_sentinel=False)[0])
+    return code_occurrences(null_coded(np.asarray(keys)))
+
+
+def null_coded(keys: np.ndarray) -> np.ndarray:
+    """``pd.factorize(keys, use_na_sentinel=False)[0]``: key codes in
+    first-appearance order, the NULLs (None, NaN, NA, NaT) sharing the
+    code of the first NULL's place. Factorized with pandas' NULL sentinel
+    -1, which skips an ``isna`` pass over object keys; the NULL code is
+    then inserted and every later code moves up by one."""
+    codes = pd.factorize(keys)[0]
+    if codes.min(initial=0) < 0:
+        null = codes < 0
+        at = codes[: null.argmax()].max(initial=-1) + 1
+        codes[codes >= at] += 1
+        codes[null] = at
+    return codes
 
 
 def code_occurrences(codes: np.ndarray) -> np.ndarray:
@@ -128,7 +143,7 @@ class Train:
         self.keys, self.values = np.asarray(keys), np.asarray(values)
         _check_aligned(self.keys, values=self.values, rid=rid, j=j, n_k=n_k)
         self.rid = np.arange(len(self.keys)) if rid is None else np.asarray(rid)
-        self.codes, _ = pd.factorize(self.keys, use_na_sentinel=False)
+        self.codes = null_coded(self.keys)
         self.first = first_rows(self.codes)
         if j is None:
             self.counts, self.N = np.bincount(self.codes), len(self.codes)

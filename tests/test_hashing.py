@@ -64,15 +64,29 @@ _A32 = _RNG.integers(0, 2**32, 100, dtype=np.uint64).astype(np.uint32)
     [
         (_A32, _RNG.integers(0, 2**32, 100, dtype=np.uint64).astype(np.uint32)),
         (_A32, 0xA5A5A5A5),  # a scalar salt broadcasts
-        (np.array([2**32 + 5, 2**40, 2**63 - 1, -1], np.int64), 0xA5A5A5A5),  # wraps to 32 bits
+        (np.array([2**32 + 5, 2**40, 2**63 - 1, -1, 7], np.int64), 0xA5A5A5A5),  # high words folded in
+        (_A32[:4], np.array([2**33, 1, -1, 2**32], np.int64)),
+        (np.array([2**32, 5, -(2**63)], np.int64), np.array([-1, 2**40, 3], np.int64)),
     ],
 )
 def test_tuple_u01_matches_scalar(a, b):
     """``tuple_u01(a, b)`` is ``u01`` of the reference hash of
-    ``LE32(a) || LE32(b)``."""
+    ``LE32(a) || LE32(b)``, followed by ``LE32(a >> 32)`` where either
+    high word is set and by ``LE32(b >> 32)`` where b's is."""
+
+    def pair_bytes(x, y):
+        hx, hy = int(x) >> 32 & 0xFFFFFFFF, int(y) >> 32 & 0xFFFFFFFF
+        return _le32(x) + _le32(y) + (_le32(hx) if hx or hy else b"") + (_le32(hy) if hy else b"")
+
     bs = np.broadcast_to(b, np.shape(a))
-    expected = u01(np.array([murmur3_32(_le32(x) + _le32(y)) for x, y in zip(a, bs)]))
+    expected = u01(np.array([murmur3_32(pair_bytes(x, y)) for x, y in zip(a, bs)]))
     assert (tuple_u01(a, b) == expected).all()
+
+
+def test_tuple_u01_keeps_row_ids_past_32_bits_apart():
+    # monotonically_increasing_id() starts partition p at p * 2**33.
+    rid = (np.arange(4)[:, None] * 2**33 + np.arange(1000)).ravel()
+    assert len(np.unique(tuple_u01(rid, indsk.SALT_TRAIN))) == 4000
 
 
 # ``hash_keys`` and ``tuple_u01`` pinned to constants: a change to the
@@ -112,7 +126,7 @@ def test_tuple_u01_golden():
     rid = np.array([0, 1, 2, 1000, 2**32 + 5, 2**40, -1], np.int64)
     assert tuple_u01(rid, indsk.SALT_TRAIN).tolist() == [
         0.3735375483516623, 0.7332000519902989, 0.2954178022875766, 0.10946286115276076,
-        0.6437487307369193, 0.3735375483516623, 0.7518750148027011,
+        0.49851976232060163, 0.29453844420224295, 0.24607002153426435,
     ]
     assert tuple_u01(kh, indsk.SALT_CAND).tolist() == [
         0.09066267011164807, 0.09066267011164807, 0.09066267011164807, 0.45972414195535677,

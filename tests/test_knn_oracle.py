@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 import pandas as pd
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -198,20 +198,68 @@ def test_the_sort_order_bound_binds_on_cdunif_m100():
     assert np.mean(_sort_order_bound(x, y, 3) == rho) > 0.9
 
 
-def test_joint_knn_computes_at_most_8_distances_per_point_on_cdunif_20k():
-    # The k-th smallest step sees every candidate distance the search
-    # computes: at most 8 per point here (65 with the column bound alone).
+def test_joint_knn_searches_no_point_on_cdunif_20k():
+    # Every point's (x, y)-sort bound lies below its x-run's gap, so the
+    # certificate gives every rho: no column is cut and no candidate
+    # distance is computed (the search once computed <= 8 per point).
     x, y = _cdunif(20000, 100, np.random.default_rng(0))
     seen = []
 
-    def spy(d, counts, k):
-        seen.append(len(d))
-        return kth_smallest(d, counts, k)
+    def spy(*args):
+        seen.append(args)
+        raise AssertionError("searched")
 
-    kth_smallest = knn._kth_smallest
-    with mock.patch.object(knn, "_kth_smallest", spy):
-        knn._joint_knn(x, y, 3)
-    assert 0 < sum(seen) <= 8 * len(x)
+    with mock.patch.object(knn, "_columns", spy), mock.patch.object(knn, "_kth_smallest", spy):
+        rho, _ = knn._joint_knn(x, y, 3)
+    assert not seen
+    assert rho.tobytes() == _sort_order_bound(x, y, 3).tobytes()
+
+
+@st.composite
+def _run_samples(draw):
+    """x-runs with a probe point whose k in-run neighbours sit at, one ulp
+    below or one ulp above its run's gap, and a point at the probe's y in
+    other runs; the first and last runs have an infinite gap on one side."""
+    k = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_runs = draw(st.integers(1, 6))
+    steps = rng.choice([2.0**-30, 0.1, 0.75, 1.0, 3.0, 1e6], n_runs - 1)
+    x_run = np.cumsum(np.concatenate(([draw(st.floats(-1e3, 1e3))], steps)))
+    bounds = np.concatenate(([np.inf], np.diff(x_run), [np.inf]))
+    gap = np.minimum(bounds[:-1], bounds[1:])
+    xs, ys = [], []
+    for r in range(n_runs):
+        y = list(rng.choice([rng.uniform(-3.0, 3.0), 0.5 * rng.integers(-6, 7)], rng.integers(0, 2 * k + 2)))
+        if rng.random() < 0.5:
+            y.append(0.0)
+        if np.isfinite(gap[r]) and rng.random() < 0.7:
+            to = draw(st.sampled_from([0.0, gap[r], np.inf]))  # one ulp below, at, above
+            t = gap[r] if to == gap[r] else np.nextafter(gap[r], to)
+            y += [0.0] + list(t * rng.choice([-1.0, 1.0], k))
+        xs += [x_run[r]] * len(y)
+        ys += y
+    assume(len(xs) > k)
+    perm = rng.permutation(len(xs))
+    return np.array(xs)[perm], np.array(ys, dtype=np.float64)[perm], k
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_run_samples())
+def test_joint_knn_equals_all_pairs_at_the_gap(sample):
+    _assert_joint_matches(*sample)
+
+
+@pytest.mark.parametrize("mirror", [False, True])
+def test_a_run_within_the_bound_on_one_side_only_is_searched(mirror):
+    # The probe (1, 0) has bound 2 from its own run, and only the run on
+    # one side, 1 away in x, lies within it; the run on the other side is
+    # 9 away. A gap of that far side alone would certify rho = 2.
+    x = np.array([0.0, 1.0, 1.0, 1.0, 10.0])
+    y = np.array([0.0, -5.0, 0.0, 2.0, 0.0])
+    if mirror:
+        x = -x
+    assert knn._joint_knn(x, y, 1)[0][2] == 1.0
+    _assert_joint_matches(x, y, 1)
 
 
 # A TPC-H lineitem x part join puts a narrow x (p_retailprice, which
@@ -267,7 +315,7 @@ def test_columns_cut_by_width_are_never_more(xo, m, width):
 def _search_work(x, y, k):
     """The box search's candidates (each point itself included) and
     (point, column) pairs, and the number of points it searches."""
-    _, _, _, _, rows, pair_start, pair_end, _, size = knn._candidate_slices(x, y, k)
+    _, _, _, _, _, rows, pair_start, pair_end, _, size = knn._candidate_slices(x, y, k)
     return size.sum(), (pair_end - pair_start).sum(), len(rows)
 
 
@@ -298,12 +346,8 @@ def test_box_search_work_where_y_is_100_times_wider():
 
 
 def test_box_search_work_on_cdunif_20k():
-    # x has 100 values, so the (x, y)-sort bound is tight and the boxes
-    # stay far narrower than a column: no more work than the column and
-    # (x, y)-sort bounds alone give, 110,414 candidates in one column per
-    # point.
+    # x has 100 values, so the (x, y)-sort bound is tight and below every
+    # x-run's gap: every point is certified and none searched (the search
+    # once took 110,414 candidates in one column per point).
     x, y = _cdunif(20000, 100, np.random.default_rng(0))
-    cands, pairs, points = _search_work(x, y, 3)
-    assert points == 20000
-    assert cands <= 110414
-    assert pairs <= points
+    assert _search_work(x, y, 3) == (0, 0, 0)

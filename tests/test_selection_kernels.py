@@ -15,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import hashing
 from repro.opendata import SPECS, generate_pair
 from repro.opendata.typeinfer import cast_column
 from repro.sketch import SELECTORS, Train, aggregate_cand, build_pair, lv2sk, occurrence_index
@@ -91,6 +92,30 @@ def test_occurrence_index_matches_cumcount(keys):
     got = occurrence_index(keys)
     assert got.dtype == np.int64
     np.testing.assert_array_equal(got, _oracle_occurrence_index(keys))
+
+
+#: Cells pandas treats as one NULL (None, NaN, NA, NaT), cells it merges
+#: into one key (True, 1, 1.0) or keeps apart ("1"), and plain keys.
+_null_mixed = st.sampled_from([None, float("nan"), pd.NA, pd.NaT, True, 1, 1.0, "1", 0.0, -0.0, "a", 7])
+_null_keys = st.one_of(
+    st.lists(_null_mixed, max_size=60).map(lambda ks: np.array(ks, dtype=object)),
+    st.lists(st.sampled_from([0.5, 2.0, -0.0, float("nan")]), max_size=60).map(np.array),
+    st.lists(st.integers(-3, 3), max_size=60).map(lambda ks: np.array(ks, dtype=np.int64)),
+)
+
+
+@_SETTINGS
+@given(_null_keys)
+@example(np.array([None, float("nan"), pd.NA, pd.NaT], dtype=object))
+@example(np.array([], dtype=object))
+@example(np.array([np.nan, 1.0, np.nan, 0.5]))
+def test_train_codes_match_factorize_without_a_null_sentinel(keys):
+    codes = pd.factorize(keys, use_na_sentinel=False)[0]
+    train = _train(keys)
+    assert train.codes.dtype == codes.dtype
+    np.testing.assert_array_equal(train.codes, codes)
+    first = _oracle_first(codes)
+    np.testing.assert_array_equal(train.key_hash, hashing.hash_keys(keys[first])[codes])
 
 
 def test_occurrence_index_past_16_bit_codes():
