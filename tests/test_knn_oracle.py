@@ -201,7 +201,7 @@ def test_the_sort_order_bound_binds_on_cdunif_m100():
 def test_joint_knn_searches_no_point_on_cdunif_20k():
     # Every point's (x, y)-sort bound lies below its x-run's gap, so the
     # certificate gives every rho: no column is cut and no candidate
-    # distance is computed (the search once computed <= 8 per point).
+    # distance is computed.
     x, y = _cdunif(20000, 100, np.random.default_rng(0))
     seen = []
 
@@ -347,7 +347,6 @@ def test_box_search_work_where_y_is_100_times_wider():
 
 def test_box_search_work_on_cdunif_20k():
     # x has 100 values, so the (x, y)-sort bound is tight and below every
-    # x-run's gap: every point is certified and none searched (the search
-    # once took 110,414 candidates in one column per point).
+    # x-run's gap: every point is certified and none searched.
     x, y = _cdunif(20000, 100, np.random.default_rng(0))
     assert _search_work(x, y, 3) == (0, 0, 0)
